@@ -20,14 +20,18 @@ std::size_t next_pow2(std::size_t x) noexcept {
 
 } // namespace
 
-CalendarQueue::CalendarQueue(std::size_t capacity, double rate_hint)
-    : nodes_(capacity) {
+std::size_t CalendarQueue::checked_capacity(std::size_t capacity) {
     if (capacity == 0) {
         throw std::invalid_argument("CalendarQueue: capacity must be positive");
     }
     if (capacity >= static_cast<std::size_t>(kFree)) {
         throw std::invalid_argument("CalendarQueue: capacity exceeds the 32-bit slot range");
     }
+    return capacity;
+}
+
+CalendarQueue::CalendarQueue(std::size_t capacity, double rate_hint)
+    : nodes_(checked_capacity(capacity)) {
     // Day array: start small and grow at retune() against the high-water
     // mark, toward ~0.5 occupancy at the 2·capacity ceiling (the pending
     // set holds at most one event per slot). Floor of 64 buckets so the

@@ -120,6 +120,10 @@ private:
     /// instead of overflowing the index arithmetic.
     static constexpr double kMaxVirtual = 4.5e15;
 
+    /// Returns `capacity` if it is in range, else throws — called from the
+    /// member initializer so a bad capacity never reaches the allocation.
+    static std::size_t checked_capacity(std::size_t capacity);
+
     static bool before(double ta, std::size_t ia, double tb, std::size_t ib) noexcept {
         return ta < tb || (ta == tb && ia < ib);
     }

@@ -5,6 +5,7 @@
 #include "support/thread_pool.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <span>
 #include <stdexcept>
@@ -17,6 +18,29 @@ namespace {
 /// fan-out costs more than the adds; the gate depends only on (K, |Z|), so
 /// the schedule stays a pure function of the configuration.
 constexpr std::size_t kMinParallelReduceWork = std::size_t{1} << 14;
+
+/// Largest shard: its local ids and its arrival slot id (n_local) must stay
+/// below the calendar FEL's two reserved 32-bit link values, and the class
+/// sampler stores local ids and class fence posts as uint32.
+constexpr std::size_t kMaxShardQueues = (std::size_t{1} << 32) - 4;
+
+/// K: the configured shard count (0 = the fixed default), clamped to M.
+std::size_t shard_count(const FiniteSystemConfig& config) {
+    const std::size_t k = config.shards == 0 ? ShardedDesSystem::kDefaultShards : config.shards;
+    return std::max<std::size_t>(1, std::min(k, config.num_queues));
+}
+
+/// M, once the largest shard (⌈M/K⌉ queues) is known to fit the 32-bit local
+/// id range — checked before the base class allocates the queue array.
+std::size_t checked_num_queues(const FiniteSystemConfig& config) {
+    const std::size_t m = config.num_queues;
+    const std::size_t k = shard_count(config);
+    if (m / k + (m % k != 0 ? 1 : 0) > kMaxShardQueues) {
+        throw std::invalid_argument(
+            "ShardedDesSystem: a shard exceeds the 32-bit local id range (raise shards)");
+    }
+    return m;
+}
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
     return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -42,12 +66,14 @@ void combine_counts(std::vector<int>& out, std::size_t& out_hi, const std::vecto
 } // namespace
 
 ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
-    : SystemBase(config.arrivals, config.dt, config.horizon, config.num_queues),
+    : SystemBase(config.arrivals, config.dt, config.horizon, checked_num_queues(config)),
       config_(std::move(config)), space_(config_.queue.num_states(), config_.d),
       router_(config_.router, config_.num_queues,
               static_cast<std::size_t>(config_.queue.num_states()), config_.dt),
       service_(config_.service, config_.queue.service_rate), threads_(config_.threads),
-      pipeline_(config_.pipeline), rule_(space_) {
+      pipeline_(config_.pipeline),
+      class_sampler_(config_.client_model == ClientModel::InfiniteClients && !router_.active()),
+      rule_(space_) {
     if (config_.num_clients == 0 && config_.client_model != ClientModel::InfiniteClients) {
         throw std::invalid_argument("ShardedDesSystem: need at least one client");
     }
@@ -75,8 +101,7 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
     // Shard partition: K contiguous near-equal blocks (the first M mod K
     // shards get one extra queue). K is clamped to M; the default is fixed
     // (not hardware-derived) so (seed, K) fully determines results.
-    std::size_t k = config_.shards == 0 ? kDefaultShards : config_.shards;
-    k = std::max<std::size_t>(1, std::min(k, m));
+    const std::size_t k = shard_count(config_);
     shard_begin_.resize(k + 1);
     const std::size_t base = m / k;
     const std::size_t extra = m % k;
@@ -88,7 +113,7 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
     for (std::size_t s = 0; s < k; ++s) {
         const std::size_t n_local = shard_begin_[s + 1] - shard_begin_[s];
         shards_.emplace_back(config_.fel, n_local, fel_rate_hint(config_, n_local),
-                             num_z);
+                             num_z, class_sampler_);
         shards_.back().begin = shard_begin_[s];
         shards_.back().end = shard_begin_[s + 1];
     }
@@ -112,16 +137,19 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
     // Eager-fold pending counters, one per node, sized once here (atomics
     // are immovable, so the vector is constructed in place and never grown).
     tree_pending_ = std::vector<PendingCount>(tree_.size());
-    // The routing table / destination-law buffers serve both the Aggregated
-    // client counts and the InfiniteClients per-job law (unlike the
-    // unsharded DES, which realizes InfiniteClients by per-job d-sampling,
-    // the sharded backend thins the identical law per shard).
+    // The routing table serves both the Aggregated client counts and the
+    // InfiniteClients per-job law (unlike the unsharded DES, which realizes
+    // InfiniteClients by per-job d-sampling, the sharded backend thins the
+    // identical law per shard). Only the prefix-sum samplers need the
+    // per-queue law; the class sampler reads the |Z|-sized scaled_sums_.
     if (config_.client_model != ClientModel::PerClient) {
         hist_.assign(num_z, 0.0);
         g_.assign(d * num_z, 0.0);
         tuple_.assign(d, 0);
         suffix_.assign(d + 1, 1.0);
-        dest_p_.assign(m, 0.0);
+        if (!class_sampler_) {
+            dest_p_.assign(m, 0.0);
+        }
     }
     if (config_.client_model == ClientModel::InfiniteClients) {
         scaled_sums_.assign(num_z, 0.0);
@@ -240,6 +268,71 @@ void ShardedDesSystem::reset(Rng& rng) {
         for (std::size_t z = 0; z < state_counts_.size(); ++z) {
             state_counts_[z] += shard.state_counts[z];
         }
+        if (class_sampler_) {
+            build_classes(shard);
+        }
+    }
+}
+
+void ShardedDesSystem::build_classes(Shard& shard) {
+    // Counting sort. class_begin[z + 1] first holds class z's start and
+    // serves as its write cursor; once the scatter has filled class z it
+    // holds class z's end, which is class z + 1's start.
+    const std::size_t num_z = shard.state_counts.size();
+    shard.class_begin[0] = 0;
+    std::uint32_t start = 0;
+    for (std::size_t z = 0; z < num_z; ++z) {
+        shard.class_begin[z + 1] = start;
+        start += static_cast<std::uint32_t>(shard.state_counts[z]);
+    }
+    const std::size_t n = shard.end - shard.begin;
+    for (std::size_t local = 0; local < n; ++local) {
+        const auto z = static_cast<std::size_t>(queues_[shard.begin + local]);
+        const std::uint32_t p = shard.class_begin[z + 1]++;
+        shard.members[p] = static_cast<std::uint32_t>(local);
+        shard.pos[local] = p;
+    }
+    assert(shard.dirty.empty()); // every epoch ends with its fix-up.
+}
+
+void ShardedDesSystem::fix_up_classes(Shard& shard) {
+    const auto swap_slots = [&shard](std::uint32_t p, std::uint32_t q) {
+        const std::uint32_t a = shard.members[p];
+        const std::uint32_t b = shard.members[q];
+        shard.members[p] = b;
+        shard.members[q] = a;
+        shard.pos[b] = p;
+        shard.pos[a] = q;
+    };
+    for (const std::uint32_t local : shard.dirty) {
+        shard.is_dirty[local] = false;
+        const auto live = static_cast<std::size_t>(queues_[shard.begin + local]);
+        // Snapshot class: the z with class_begin[z] <= pos < class_begin[z+1]
+        // (the last fence post at or below pos, skipping empty classes).
+        std::uint32_t p = shard.pos[local];
+        std::size_t z = static_cast<std::size_t>(
+            std::upper_bound(shard.class_begin.begin(), shard.class_begin.end(), p) -
+            shard.class_begin.begin() - 1);
+        // Up one class: swap into class z's last slot, then lower the fence
+        // so that slot opens class z + 1. Down: swap into class z's first
+        // slot, then raise the fence so it closes class z - 1.
+        while (z < live) {
+            const std::uint32_t last = --shard.class_begin[z + 1];
+            swap_slots(p, last);
+            p = last;
+            ++z;
+        }
+        while (z > live) {
+            const std::uint32_t first = shard.class_begin[z]++;
+            swap_slots(p, first);
+            p = first;
+            --z;
+        }
+    }
+    shard.dirty.clear();
+    for (std::size_t z = 0; z < shard.state_counts.size(); ++z) {
+        assert(shard.class_begin[z + 1] - shard.class_begin[z] ==
+               static_cast<std::uint32_t>(shard.state_counts[z]));
     }
 }
 
@@ -303,7 +396,14 @@ void ShardedDesSystem::begin_epoch(const DecisionRule& h, Rng& rng) {
         // The per-job destination law (1/M) Σ_k g(k, z_j) is exactly the law
         // realized by the unsharded DES's per-job d-sampling on the frozen
         // snapshot; thinning it per shard is therefore exact.
-        const double total = destination_law_shard_masses(h);
+        double total = 0.0;
+        if (class_sampler_) {
+            prescale_destination_sums(destination_sums(h), 1.0 / static_cast<double>(m),
+                                      scaled_sums_);
+            total = class_shard_masses();
+        } else {
+            total = destination_law_shard_masses(h);
+        }
         for (std::size_t s = 0; s < shards_.size(); ++s) {
             shards_[s].arrival_rate =
                 total > 0.0 ? total_rate * shard_mass_[s] / total : 0.0;
@@ -313,21 +413,24 @@ void ShardedDesSystem::begin_epoch(const DecisionRule& h, Rng& rng) {
     }
 }
 
-double ShardedDesSystem::destination_law_shard_masses(const DecisionRule& h) {
-    const std::size_t m = queues_.size();
-    const double inv_m = 1.0 / static_cast<double>(m);
+std::span<const double> ShardedDesSystem::destination_sums(const DecisionRule& h) {
+    const double inv_m = 1.0 / static_cast<double>(queues_.size());
     for (std::size_t z = 0; z < hist_.size(); ++z) {
         hist_[z] = inv_m * static_cast<double>(state_counts_[z]);
     }
+    compute_routing_table_into(hist_, h, tuple_, suffix_, g_);
+    return fold_routing_table_rows(g_, hist_.size(), config_.d);
+}
+
+double ShardedDesSystem::destination_law_shard_masses(const DecisionRule& h) {
+    const double inv_m = 1.0 / static_cast<double>(queues_.size());
     // The O(d·|Z|^d) routing table and its O(d·|Z|) fold stay serial; the
     // O(M) per-queue gather and the per-shard vec_sum masses fan out over
     // the pool. Each task writes only its own dest_p_ slice and mass slot,
     // and the values match the full-span gather element for element, so the
     // result is identical at any thread count — and bit-identical to the
     // historical compute_destination_law_into + partition_shard_mass pair.
-    compute_routing_table_into(hist_, h, tuple_, suffix_, g_);
-    const std::span<const double> sums =
-        fold_routing_table_rows(g_, hist_.size(), config_.d);
+    const std::span<const double> sums = destination_sums(h);
     parallel_for(
         shards_.size(),
         [&](std::size_t s) {
@@ -344,6 +447,43 @@ double ShardedDesSystem::destination_law_shard_masses(const DecisionRule& h) {
         total += mass;
     }
     return total;
+}
+
+double ShardedDesSystem::class_shard_masses() {
+    // The shard's state counts at the barrier are its snapshot class sizes
+    // (fix_up_classes asserts they match class_begin). O(K·|Z|), serial.
+    double total = 0.0;
+    for (std::size_t s = 0; s < shards_.size(); ++s) {
+        Shard& shard = shards_[s];
+        double mass = 0.0;
+        shard.class_last = 0;
+        for (std::size_t z = 0; z < scaled_sums_.size(); ++z) {
+            const double w = static_cast<double>(shard.state_counts[z]) * scaled_sums_[z];
+            mass += w;
+            shard.class_cum[z] = mass;
+            if (w > 0.0) {
+                shard.class_last = z;
+            }
+        }
+        shard.total_weight = mass;
+        shard_mass_[s] = mass;
+        total += mass; // fixed K-term order.
+    }
+    return total;
+}
+
+std::size_t ShardedDesSystem::sample_class_member(Shard& shard) noexcept {
+    // Zero-mass classes never stop the scan (their partial sum equals the
+    // previous one, already <= target); a rounding overshoot past the last
+    // partial sum lands on the last class with positive mass.
+    const double target = shard.rng.uniform() * shard.total_weight;
+    std::size_t z = 0;
+    while (z < shard.class_last && !(target < shard.class_cum[z])) {
+        ++z;
+    }
+    const std::uint32_t first = shard.class_begin[z];
+    const std::uint32_t size = shard.class_begin[z + 1] - first;
+    return shard.members[first + shard.rng.uniform_below(size)];
 }
 
 void ShardedDesSystem::begin_epoch_router() {
@@ -374,7 +514,9 @@ void ShardedDesSystem::begin_epoch_router() {
 
 void ShardedDesSystem::handle_arrival(Shard& shard, double t) {
     std::size_t local;
-    if (router_.kind() == RouterKind::RoundRobin) {
+    if (class_sampler_) {
+        local = sample_class_member(shard);
+    } else if (router_.kind() == RouterKind::RoundRobin) {
         local = shard.rr_next;
         shard.rr_next = shard.rr_next + 1 == shard.cum.size() ? 0 : shard.rr_next + 1;
     } else {
@@ -403,6 +545,9 @@ void ShardedDesSystem::handle_arrival(Shard& shard, double t) {
         if (config_.track_sojourn) {
             jobs_[j].push(t);
         }
+        if (class_sampler_) {
+            mark_dirty(shard, local);
+        }
     } else {
         ++shard.stats.dropped_packets;
     }
@@ -420,6 +565,9 @@ void ShardedDesSystem::handle_departure(Shard& shard, std::size_t local_id, doub
     --queues_[j];
     --shard.total_jobs;
     ++shard.stats.served_packets;
+    if (class_sampler_) {
+        mark_dirty(shard, local_id);
+    }
     if (config_.track_sojourn) {
         const double sojourn = jobs_[j].pop(t);
         shard.stats.mean_sojourn += sojourn; // running sum; divided in reduce.
@@ -465,9 +613,8 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
                 std::span<double>(shard.cum));
             shard.total_weight = shard.cum.back();
         }
-    } else {
-        switch (config_.client_model) {
-        case ClientModel::Aggregated: {
+    } else if (!class_sampler_) { // the class sampler's W_s is set at the barrier.
+        if (config_.client_model == ClientModel::Aggregated) {
             const std::span<const double> weights(dest_p_.data() + shard.begin, local_n);
             const std::span<std::uint64_t> counts(counts_.data() + shard.begin, local_n);
             if (shard.clients > 0 && shard_mass_[s] > 0.0) {
@@ -477,28 +624,10 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
             }
             inclusive_prefix_sum(std::span<const std::uint64_t>(counts),
                                  std::span<double>(shard.cum));
-            break;
-        }
-        case ClientModel::PerClient:
+        } else { // PerClient
             inclusive_prefix_sum(
                 std::span<const std::uint64_t>(counts_.data() + shard.begin, local_n),
                 std::span<double>(shard.cum));
-            break;
-        case ClientModel::InfiniteClients:
-            if (pipelined) {
-                // Fused gather-scan against the prescaled per-state table:
-                // the same scan shape over the same element values as the
-                // materialized dest_p_ path, so shard.cum is bit-identical —
-                // with 2·8·n fewer bytes of law traffic per shard.
-                gather_prefix_sum(
-                    std::span<const int>(queues_.data() + shard.begin, local_n),
-                    scaled_sums_, std::span<double>(shard.cum));
-            } else {
-                inclusive_prefix_sum(
-                    std::span<const double>(dest_p_.data() + shard.begin, local_n),
-                    std::span<double>(shard.cum));
-            }
-            break;
         }
         shard.total_weight = shard.cum.back();
     }
@@ -551,6 +680,9 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
     // reduction walks only the occupied prefix next epoch.
     while (shard.hot_hi > 1 && shard.state_counts[shard.hot_hi - 1] == 0) {
         --shard.hot_hi;
+    }
+    if (class_sampler_) {
+        fix_up_classes(shard); // the live states become next epoch's snapshot.
     }
     // One lane write per epoch (not per event): the shard owns slot s until
     // the barrier's merge_slots, so this stays wait-free and allocation-free.
@@ -888,17 +1020,9 @@ EpochStats ShardedDesSystem::step_pipelined(const UpperLevelPolicy* policy,
         if (router_law) {
             router_.epoch_weights(queues_, time(), dest_p_);
         } else if (dest_law) {
-            const DecisionRule& rule = policy != nullptr ? rule_ : *h;
-            for (std::size_t z = 0; z < hist_.size(); ++z) {
-                hist_[z] = inv_m * static_cast<double>(state_counts_[z]);
-            }
-            compute_routing_table_into(hist_, rule, tuple_, suffix_, g_);
-            const std::span<const double> sums =
-                fold_routing_table_rows(g_, hist_.size(), config_.d);
+            const std::span<const double> sums = destination_sums(policy != nullptr ? rule_ : *h);
             if (config_.client_model == ClientModel::InfiniteClients) {
-                // |Z|-sized prescale so the stage-A/B gathers are pure
-                // load+add loops over values identical to the materialized
-                // inv_m-scaled per-queue law.
+                // The class sampler's per-class weights w(z) = sums[z] / M.
                 prescale_destination_sums(sums, inv_m, scaled_sums_);
             }
         }
@@ -915,10 +1039,10 @@ EpochStats ShardedDesSystem::step_pipelined(const UpperLevelPolicy* policy,
         k, [&](std::size_t s) { shards_[s].fel.retune(); }, threads_);
     token.wait();
 
-    // ---- Stage A: per-shard routing masses from the folded law, fanned out
-    // over the pool. InfiniteClients uses the fused gather (the per-queue
-    // law is never materialized); Aggregated still writes dest_p_ because
-    // its shard multinomials need the per-queue weights.
+    // ---- Stage A: per-shard routing masses from the folded law.
+    // InfiniteClients reads its shards' class counts (O(K·|Z|), no per-queue
+    // law); Aggregated fans the O(M) gather out over the pool and writes
+    // dest_p_ because its shard multinomials need the per-queue weights.
     if (router_law) {
         parallel_for(
             k,
@@ -931,15 +1055,7 @@ EpochStats ShardedDesSystem::step_pipelined(const UpperLevelPolicy* policy,
             threads_);
     } else if (dest_law) {
         if (config_.client_model == ClientModel::InfiniteClients) {
-            parallel_for(
-                k,
-                [&](std::size_t s) {
-                    const std::size_t begin = shard_begin_[s];
-                    const std::size_t n = shard_begin_[s + 1] - begin;
-                    shard_mass_[s] = gather_sum(
-                        std::span<const int>(queues_.data() + begin, n), scaled_sums_);
-                },
-                threads_);
+            class_shard_masses();
         } else {
             const std::span<const double> sums(g_.data(), hist_.size());
             parallel_for(

@@ -17,9 +17,19 @@
 /// counts for PerClient/Aggregated, the exact per-job destination
 /// probabilities of `compute_destination_law_into` for InfiniteClients)
 /// splits exactly into K independent Poisson streams — shard s receives
-/// rate M·λ_t · W_s / W with W_s its routing mass (`partition_shard_mass`),
-/// and each of its arrivals picks a destination inside the shard with the
-/// conditional law w_j / W_s (binary search on shard-local prefix sums).
+/// rate M·λ_t · W_s / W with W_s its routing mass, and each of its arrivals
+/// picks a destination inside the shard with the conditional law w_j / W_s.
+/// PerClient, Aggregated and the classical routers realize that law by
+/// binary search on shard-local prefix sums of the per-queue weights.
+/// InfiniteClients needs no per-queue pass at all: w_j = w(z_j) depends only
+/// on queue j's snapshot state (eqs. 18–19), so W_s = Σ_z c_s[z]·w(z) comes
+/// from the shard's snapshot class counts c_s, and an arrival draws a class
+/// z with probability c_s[z]·w(z)/W_s and then a uniform member of it —
+/// P(j) = w(z_j)/W_s, the same law. Each shard keeps its local ids grouped
+/// by snapshot class (`members`/`pos`/`class_begin`) and, at the end of its
+/// epoch, moves the queues its events touched to their live class by
+/// adjacent-boundary swaps, so an InfiniteClients epoch costs O(|Z| +
+/// events) rather than O(M).
 /// For `Aggregated`, the Multinomial(N, p) client counts are drawn
 /// hierarchically: shard totals N_s ~ Multinomial(N, P_s) at the barrier,
 /// then each shard draws Multinomial(N_s, p_j / P_s) over its own queues
@@ -45,9 +55,9 @@
 /// restructured so only the caller-RNG draws and the O(K) bookkeeping stay
 /// serial. The deterministic barrier compute (policy GEMM query, routing
 /// table + fold) runs as a pool task overlapped with the per-shard FEL
-/// retunes; the O(M) destination-law work uses fused gather kernels against
-/// a prescaled per-state table (never materializing the per-queue law for
-/// InfiniteClients); and each shard folds its integer payloads into the
+/// retunes; the Aggregated O(M) destination-law work fans out over the
+/// pool (InfiniteClients has none — its shard masses are O(K·|Z|)); and
+/// each shard folds its integer payloads into the
 /// reduction tree the moment its event loop finishes (eager reduction —
 /// atomic pending counters pick the last-arriving child to combine each
 /// node, which is order-immaterial because only integers travel through the
@@ -77,6 +87,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -194,8 +205,9 @@ private:
                                           ///< state_counts[z] == 0 for z >= hot_hi,
                                           ///< so reductions stop at the high-water
                                           ///< mark instead of walking all of Z.
-        std::vector<double> cum;          ///< local destination prefix sums.
-        double total_weight = 0.0;        ///< prefix-sum total (= W_s).
+        std::vector<double> cum;          ///< local destination prefix sums
+                                          ///< (empty under the class sampler).
+        double total_weight = 0.0;        ///< routing mass W_s.
         double arrival_rate = 0.0;        ///< thinned Poisson rate M·λ_t·W_s/W.
         std::uint64_t clients = 0;        ///< N_s (Aggregated only).
         std::int64_t total_jobs = 0;      ///< Σ z_j over owned queues.
@@ -209,11 +221,33 @@ private:
                                           ///< (track_sojourn only; merged
                                           ///< across shards on demand).
         FutureEventList::Stats fel_last{}; ///< counters at last telemetry publish.
+        // Class sampler (InfiniteClients without a router), kept after the
+        // fields every model's event loop touches: local ids grouped by
+        // snapshot class, members[class_begin[z] .. class_begin[z+1]) in
+        // class z; between epochs every queue sits in its live class.
+        std::vector<std::uint32_t> members;     ///< local ids, grouped by class.
+        std::vector<std::uint32_t> pos;         ///< members[pos[i]] == i.
+        std::vector<std::uint32_t> class_begin; ///< |Z| + 1 fence posts.
+        std::vector<double> class_cum;          ///< partial sums of c_s[z]·w(z).
+        std::size_t class_last = 0;             ///< last class with positive mass.
+        std::vector<std::uint32_t> dirty;       ///< queues touched this epoch;
+                                                ///< capacity n_local, reserved once.
+        std::vector<bool> is_dirty;             ///< membership flags of `dirty`.
 
         Shard(FelKind kind, std::size_t num_local_queues, double rate_hint,
-              std::size_t num_states)
-            : fel(kind, num_local_queues + 1, rate_hint), state_counts(num_states, 0),
-              cum(num_local_queues, 0.0) {}
+              std::size_t num_states, bool class_sampler)
+            : fel(kind, num_local_queues + 1, rate_hint), state_counts(num_states, 0) {
+            if (class_sampler) {
+                members.resize(num_local_queues);
+                pos.resize(num_local_queues);
+                class_begin.assign(num_states + 1, 0);
+                class_cum.assign(num_states, 0.0);
+                dirty.reserve(num_local_queues);
+                is_dirty.assign(num_local_queues, false);
+            } else {
+                cum.assign(num_local_queues, 0.0);
+            }
+        }
 
         std::size_t local_arrival_slot() const noexcept { return end - begin; }
     };
@@ -221,13 +255,40 @@ private:
     /// Barrier phase 1: routing weights, per-shard masses/rates, shard
     /// client totals — everything the parallel phase consumes read-only.
     void begin_epoch(const DecisionRule& h, Rng& rng);
-    /// Shared Aggregated/InfiniteClients barrier piece: realizes the
-    /// per-queue destination law (routing table + fold serially, then the
-    /// O(M) gather and per-shard `vec_sum` masses fanned out over the pool —
-    /// each shard task writes only its own `dest_p_` slice and mass slot)
-    /// and returns the total mass as the fixed-order K-term sum,
-    /// bit-identical to `partition_shard_mass` over the full law.
+    /// hist_ from the reduced state counts, then the routing table and its
+    /// fold: the per-state destination sums Σ_k g(k, z), O(d·|Z|^d).
+    std::span<const double> destination_sums(const DecisionRule& h);
+    /// Prefix-sum barrier piece (Aggregated, and InfiniteClients under a
+    /// router): realizes the per-queue destination law (the O(M) gather and
+    /// per-shard `vec_sum` masses fanned out over the pool — each shard task
+    /// writes only its own `dest_p_` slice and mass slot) and returns the
+    /// total mass as the fixed-order K-term sum, bit-identical to
+    /// `partition_shard_mass` over the full law.
     double destination_law_shard_masses(const DecisionRule& h);
+    /// Class-sampler barrier piece: W_s = Σ_z c_s[z]·scaled_sums_[z] in fixed
+    /// z order from each shard's snapshot class counts, with the partial sums
+    /// the arrival sampler scans; returns the fixed-order K-term total.
+    /// O(K·|Z|). Both pipeline settings call it, so they stay bit-identical.
+    double class_shard_masses();
+    /// Counting sort of the shard's local ids by state into members/pos/
+    /// class_begin (reset only).
+    void build_classes(Shard& shard);
+    /// End of a shard's epoch: moves every dirty queue from its snapshot
+    /// class to its live class by adjacent-boundary swaps (|Δz| swaps each)
+    /// and clears the dirty list.
+    void fix_up_classes(Shard& shard);
+    /// One arrival's destination under the class sampler: a class with
+    /// probability c_s[z]·w(z)/W_s, then a uniform member of it.
+    static std::size_t sample_class_member(Shard& shard) noexcept;
+    /// Records a state change of local queue `local` for the epoch-end class
+    /// fix-up. First touch only, so the list never outgrows its reserved
+    /// n_local capacity and the event loop never allocates.
+    static void mark_dirty(Shard& shard, std::size_t local) {
+        if (!shard.is_dirty[local]) {
+            shard.is_dirty[local] = true;
+            shard.dirty.push_back(static_cast<std::uint32_t>(local));
+        }
+    }
     /// Router variant of the barrier phase: weight law → shard masses.
     /// Consumes no RNG draws (the classical weight laws are deterministic
     /// functions of the snapshot).
@@ -237,9 +298,8 @@ private:
     EpochStats run_parallel_epoch(Rng& rng);
     /// Parallel phase: shard s's epoch on [epoch_start, epoch_end).
     /// `pipelined` selects the overlapped-barrier variant: the FEL retune is
-    /// already done, InfiniteClients prefix sums come from the fused gather
-    /// against the prescaled table, and the shard folds eagerly into the
-    /// reduction tree when its loop finishes.
+    /// already done, and the shard folds eagerly into the reduction tree
+    /// when its loop finishes.
     void run_shard_epoch(std::size_t s, double epoch_start, double epoch_end,
                          bool pipelined);
     /// Barrier phase 2: fixed-order reduction into the epoch's EpochStats
@@ -311,6 +371,9 @@ private:
     ServiceDistribution service_;
     std::size_t threads_ = 0;
     bool pipeline_ = true;
+    /// InfiniteClients without a router: arrivals use the two-stage class
+    /// sampler instead of per-queue prefix sums (see file comment).
+    bool class_sampler_ = false;
 
     std::vector<Shard> shards_;
     std::vector<std::size_t> shard_begin_; ///< K+1 fence posts over [0, M].
@@ -338,10 +401,11 @@ private:
     std::vector<double> g_;                ///< routing table g[k·|Z| + z].
     std::vector<int> tuple_;               ///< decode buffer (d).
     std::vector<double> suffix_;           ///< suffix products (d + 1).
-    std::vector<double> dest_p_;           ///< per-queue destination law (M).
-    std::vector<double> scaled_sums_;      ///< (1/M)·folded routing sums (|Z|) —
-                                           ///< the prescaled gather table of the
-                                           ///< pipelined InfiniteClients path.
+    std::vector<double> dest_p_;           ///< per-queue destination law (M;
+                                           ///< empty under the class sampler).
+    std::vector<double> scaled_sums_;      ///< (1/M)·folded routing sums (|Z|):
+                                           ///< the per-class weights w(z) of the
+                                           ///< InfiniteClients class sampler.
     std::vector<std::uint64_t> counts_;    ///< per-queue client counts (M).
     std::vector<int> sampled_;             ///< PerClient sampled queues (d).
     std::vector<int> states_;              ///< their snapshot states (d).

@@ -71,6 +71,8 @@ TEST(CalendarQueue, CancelRemovesOnlyThatSlot) {
 
 TEST(CalendarQueue, GuardsMisuse) {
     EXPECT_THROW(CalendarQueue(0, 1.0), std::invalid_argument);
+    // Rejected before the 16-byte-per-slot node array (64 GiB here) exists.
+    EXPECT_THROW(CalendarQueue(std::size_t{1} << 32), std::invalid_argument);
     CalendarQueue fel(2, 1.0);
     EXPECT_THROW(fel.schedule(2, 1.0), std::invalid_argument);
     EXPECT_THROW(fel.pop(), std::logic_error);

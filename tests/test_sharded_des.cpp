@@ -71,6 +71,11 @@ TEST(ShardedDesSystem, RejectsInvalidConfigsAndRules) {
     config = small_config(ClientModel::InfiniteClients, 3);
     config.nu0 = {0.5, 0.5}; // wrong support size for B = 5
     EXPECT_THROW(ShardedDesSystem{config}, std::invalid_argument);
+    // A 2^32-queue shard overflows the 32-bit local ids; rejected before the
+    // queue array is allocated.
+    config = small_config(ClientModel::InfiniteClients, 1);
+    config.num_queues = std::size_t{1} << 32;
+    EXPECT_THROW(ShardedDesSystem{config}, std::invalid_argument);
 
     ShardedDesSystem system(small_config(ClientModel::Aggregated, 3));
     Rng rng(1);
@@ -375,6 +380,21 @@ TEST(ShardedVsDes, InfiniteClientModelAgrees) {
     experiment.client_model = ClientModel::InfiniteClients;
     experiment.shards = 6;
     expect_event_backends_agree(experiment.finite_system(), 20, 333);
+}
+
+TEST(ShardedVsDes, InfiniteClientsMultiClassMovesAgree) {
+    // Δt = 5 from a top-heavy start: between barriers queues cross several
+    // state classes, so every epoch runs the class sampler's multi-step swap
+    // chains (and their class-size assert) against DesSystem's per-job
+    // d-sampling on the same snapshot.
+    ExperimentConfig experiment = scenario_or_die("table1").experiment;
+    experiment.dt = 5.0;
+    experiment.eval_total_time = 100.0;
+    experiment.client_model = ClientModel::InfiniteClients;
+    experiment.shards = 6;
+    FiniteSystemConfig config = experiment.finite_system();
+    config.nu0 = {0.05, 0.0, 0.0, 0.15, 0.3, 0.5};
+    expect_event_backends_agree(config, 20, 555);
 }
 
 TEST(ShardedVsDes, PerClientModelAgrees) {
