@@ -20,14 +20,13 @@
 ///  4. Thread/shard scaling of the sharded backend on the `large-n`
 ///     configuration (M = 10^4, N = 10^6): one episode per thread count in
 ///     {1, 2, 4, 8} against the single-threaded unsharded DES baseline,
-///     with per-point `sharded_speedup_*` rows — and the fused barrier's
-///     serial/parallel wall-clock split (`sharded_barrier_*` rows, the
-///     Amdahl accounting of the epoch barrier) — in the --json artifact.
-///  5. Sharded episodes at M = 10^7 queues (InfiniteClients, short horizon)
-///     with the overlapped pipeline on and off, at K = 8 and K = 32 shards:
-///     InfiniteClients epochs are event-proportional (class-count arrival
-///     sampling, no O(M) pass), so `event_rate_sharded_M=10000000` is a real
-///     event rate, `sharded_pipeline_speedup_*` sits near 1x, and
+///     with per-point `sharded_speedup_*` rows — and the epoch barrier's
+///     serial/parallel wall-clock split (`sharded_barrier_*` rows, its
+///     Amdahl accounting) — in the --json artifact.
+///  5. Sharded episodes at M = 10^7 queues (InfiniteClients, 40 epochs — the
+///     fleet-sparse horizon) at K = 8 and K = 32 shards: InfiniteClients
+///     epochs are event-proportional (class-count arrival sampling, no O(M)
+///     pass), so `event_rate_sharded_M=10000000` is a real event rate, and
 ///     `sharded_barrier_serial_fraction_*` tracks the barrier's serial share.
 ///
 /// All timings are appended to --json for the CI benchmark artifact.
@@ -88,17 +87,16 @@ EpisodeRun run_one_episode(const FiniteSystemConfig& config, const DecisionRule&
 }
 
 /// Sharded episode with the backend's own barrier accounting attached: how
-/// much wall clock the epochs spent in the irreducibly serial barrier phases
-/// (RNG prologue + reduction tail) vs the overlappable epoch compute and the
-/// parallel shard loops — the Amdahl split that bounds thread scaling.
+/// much wall clock the epochs spent in the serial barrier phases (prologue
+/// + reduction tail) vs the parallel shard loops — the Amdahl split that
+/// bounds thread scaling.
 struct ShardedRun {
     EpisodeRun episode;
-    double serial_s = 0.0;  ///< prologue + reduction (cannot overlap shards).
-    double overlap_s = 0.0; ///< offloaded epoch compute (pipeline-on only).
+    double serial_s = 0.0; ///< prologue + reduction (cannot overlap shards).
     double parallel_s = 0.0;
 
     double serial_fraction() const {
-        const double total = serial_s + overlap_s + parallel_s;
+        const double total = serial_s + parallel_s;
         return total > 0.0 ? serial_s / total : 0.0;
     }
 };
@@ -118,7 +116,6 @@ ShardedRun run_sharded_episode(const FiniteSystemConfig& config, const DecisionR
     }
     out.episode.seconds = watch.seconds();
     out.serial_s = system.barrier_profile().serial_seconds();
-    out.overlap_s = system.barrier_profile().overlapped_compute_seconds;
     out.parallel_s = system.barrier_profile().parallel_seconds;
     return out;
 }
@@ -334,9 +331,6 @@ int main(int argc, char** argv) {
             std::snprintf(label, sizeof(label), "sharded_barrier_parallel_s_K=%zu_T=%lld",
                           shards, static_cast<long long>(t));
             timings.record(label, run.parallel_s);
-            std::snprintf(label, sizeof(label), "sharded_barrier_overlap_s_K=%zu_T=%lld",
-                          shards, static_cast<long long>(t));
-            timings.record(label, run.overlap_s);
             std::snprintf(label, sizeof(label),
                           "sharded_barrier_serial_fraction_K=%zu_T=%lld", shards,
                           static_cast<long long>(t));
@@ -358,56 +352,39 @@ int main(int argc, char** argv) {
                     std::thread::hardware_concurrency());
     }
 
-    // --- 5. Pipelined-barrier headroom: M = 10^7 queues, pipeline A/B -----
+    // --- 5. Event-proportional epochs at M = 10^7 queues -----------------
     {
         // Ten million queues under the fixed total load, InfiniteClients (no
-        // per-client state), short horizon, three decades past the
-        // epoch-synchronous backend's budget. The class sampler makes each
-        // epoch O(|Z| + events) with no per-queue pass, so the episode time
-        // is event work and `event_rate_sharded_M=10000000` measures the
-        // event loop itself. Both pipeline settings skip the O(M) passes
-        // alike, so the speedup row (bigger-is-better in CI) is expected
-        // near 1x; it still pins that the seam costs nothing. Both run on the
-        // same seed (bit-identical drops by the seam contract), and the
-        // serial-fraction row tracks how much of the barrier remains
-        // irreducibly serial. K = 8 is the default shard count; K = 32
-        // repeats the A/B with a deeper reduction tree and shorter shards.
+        // per-client state), three decades past the epoch-synchronous
+        // backend's budget. The class sampler makes each epoch O(|Z| +
+        // events) with no per-queue pass, so the episode time is event work
+        // and `event_rate_sharded_M=10000000` measures the event loop itself.
+        // 40 epochs (the fleet-sparse horizon) keep the episode well above
+        // timer and scheduler noise; the serial-fraction row tracks how much
+        // of the barrier remains serial. K = 8 is the default shard count;
+        // K = 32 repeats the episode with a deeper reduction tree and shorter
+        // shards.
         const std::size_t m = 10000000;
-        const int short_horizon = MfcConfig::horizon_for_total_time(5.0, dt);
-        FiniteSystemConfig config = scale_config(m, lambda_total, dt, short_horizon,
+        const int fleet_horizon = 40;
+        FiniteSystemConfig config = scale_config(m, lambda_total, dt, fleet_horizon,
                                                  ClientModel::InfiniteClients, 0);
         for (const std::size_t k : {std::size_t{8}, std::size_t{32}}) {
             config.shards = k;
-            config.pipeline = true;
-            const ShardedRun on = run_sharded_episode(config, jsq, seed);
-            config.pipeline = false;
-            const ShardedRun off = run_sharded_episode(config, jsq, seed);
-            const double pipeline_speedup =
-                on.episode.seconds > 0.0 ? off.episode.seconds / on.episode.seconds : 0.0;
+            const ShardedRun run = run_sharded_episode(config, jsq, seed);
             const char* suffix = k == 8 ? "M=10000000" : "K=32_M=10000000";
+            std::snprintf(label, sizeof(label), "sharded_episode_%s", suffix);
+            timings.record(label, run.episode.seconds);
             if (k == 8) {
-                // The headline M = 10^7 row stays the pipeline-on default-K
-                // episode (same workload PR 7 recorded, now pipelined).
-                timings.record("sharded_episode_M=10000000", on.episode.seconds);
                 timings.record("event_rate_sharded_M=10000000",
-                               on.episode.events_per_second());
+                               run.episode.events_per_second());
             }
-            std::snprintf(label, sizeof(label), "sharded_episode_pipeline=on_%s", suffix);
-            timings.record(label, on.episode.seconds);
-            std::snprintf(label, sizeof(label), "sharded_episode_pipeline=off_%s", suffix);
-            timings.record(label, off.episode.seconds);
-            std::snprintf(label, sizeof(label), "sharded_pipeline_speedup_%s", suffix);
-            timings.record(label, pipeline_speedup);
             std::snprintf(label, sizeof(label), "sharded_barrier_serial_fraction_%s",
                           suffix);
-            timings.record(label, on.serial_fraction());
-            std::printf("sharded episode at M=10^7 (K=%zu, %d epochs): pipeline on %.3f s / "
-                        "off %.3f s (%.2fx, serial fraction %.3f), drops/queue %s\n",
-                        k, short_horizon, on.episode.seconds, off.episode.seconds,
-                        pipeline_speedup, on.serial_fraction(),
-                        on.episode.drops_per_queue == off.episode.drops_per_queue
-                            ? "bit-identical"
-                            : "MISMATCH");
+            timings.record(label, run.serial_fraction());
+            std::printf("sharded episode at M=10^7 (K=%zu, %d epochs): %.3f s (serial "
+                        "fraction %.3f), drops/queue %.4g\n",
+                        k, fleet_horizon, run.episode.seconds, run.serial_fraction(),
+                        run.episode.drops_per_queue);
         }
     }
 

@@ -369,6 +369,9 @@ EpochStats DesSystem::run_events(const DecisionRule* h, Rng& rng) {
 }
 
 EpochStats DesSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
+    if (router_.active()) {
+        return step_router(rng);
+    }
     if (done()) {
         throw std::logic_error("DesSystem::step: episode already finished");
     }

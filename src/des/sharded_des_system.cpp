@@ -71,7 +71,6 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
       router_(config_.router, config_.num_queues,
               static_cast<std::size_t>(config_.queue.num_states()), config_.dt),
       service_(config_.service, config_.queue.service_rate), threads_(config_.threads),
-      pipeline_(config_.pipeline),
       class_sampler_(config_.client_model == ClientModel::InfiniteClients && !router_.active()),
       rule_(space_) {
     if (config_.num_clients == 0 && config_.client_model != ClientModel::InfiniteClients) {
@@ -134,29 +133,25 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
         }
         width = next;
     }
-    // Eager-fold pending counters, one per node, sized once here (atomics
-    // are immovable, so the vector is constructed in place and never grown).
-    tree_pending_ = std::vector<PendingCount>(tree_.size());
     // The routing table serves both the Aggregated client counts and the
     // InfiniteClients per-job law (unlike the unsharded DES, which realizes
     // InfiniteClients by per-job d-sampling, the sharded backend thins the
-    // identical law per shard). Only the prefix-sum samplers need the
-    // per-queue law; the class sampler reads the |Z|-sized scaled_sums_.
+    // identical law per shard). The class sampler reads the |Z|-sized
+    // scaled_sums_ instead of a per-queue law.
     if (config_.client_model != ClientModel::PerClient) {
         hist_.assign(num_z, 0.0);
         g_.assign(d * num_z, 0.0);
         tuple_.assign(d, 0);
         suffix_.assign(d + 1, 1.0);
-        if (!class_sampler_) {
-            dest_p_.assign(m, 0.0);
-        }
     }
-    if (config_.client_model == ClientModel::InfiniteClients) {
+    if (class_sampler_) {
         scaled_sums_.assign(num_z, 0.0);
     }
-    // Classical weight-law routers reuse the destination-law buffer as the
-    // barrier-phase weight vector (round-robin needs none).
-    if (router_.active() && router_.kind() != RouterKind::RoundRobin && dest_p_.empty()) {
+    // Per-queue weights: the Aggregated destination law, or a classical
+    // weight-law router's weights (round-robin needs none). A router
+    // replaces the policy path, so the two never share the buffer.
+    if (router_.active() ? router_.kind() != RouterKind::RoundRobin
+                         : config_.client_model == ClientModel::Aggregated) {
         dest_p_.assign(m, 0.0);
     }
     if (config_.client_model != ClientModel::InfiniteClients) {
@@ -183,7 +178,6 @@ void ShardedDesSystem::on_telemetry_attached() {
         registry.ensure_slots(shards_.size());
         shard_events_id_ = registry.counter("des_events_total");
         barrier_prologue_id_ = registry.gauge("barrier_prologue_seconds");
-        barrier_overlap_id_ = registry.gauge("barrier_overlap_seconds");
         barrier_reduce_id_ = registry.gauge("barrier_reduce_seconds");
         barrier_parallel_id_ = registry.gauge("barrier_parallel_seconds");
         fel_schedules_id_ = registry.counter("fel_schedules");
@@ -212,7 +206,6 @@ void ShardedDesSystem::append_epoch_telemetry(MetricsRow& row) {
     // The barrier profile rides the registry (appended after this hook), so
     // the Amdahl split lands in the same row as the queueing metrics.
     shard_registry_->set(barrier_prologue_id_, profile_.serial_prologue_seconds);
-    shard_registry_->set(barrier_overlap_id_, profile_.overlapped_compute_seconds);
     shard_registry_->set(barrier_reduce_id_, profile_.reduction_seconds);
     shard_registry_->set(barrier_parallel_id_, profile_.parallel_seconds);
 }
@@ -395,15 +388,11 @@ void ShardedDesSystem::begin_epoch(const DecisionRule& h, Rng& rng) {
     case ClientModel::InfiniteClients: {
         // The per-job destination law (1/M) Σ_k g(k, z_j) is exactly the law
         // realized by the unsharded DES's per-job d-sampling on the frozen
-        // snapshot; thinning it per shard is therefore exact.
-        double total = 0.0;
-        if (class_sampler_) {
-            prescale_destination_sums(destination_sums(h), 1.0 / static_cast<double>(m),
-                                      scaled_sums_);
-            total = class_shard_masses();
-        } else {
-            total = destination_law_shard_masses(h);
-        }
+        // snapshot; thinning it per shard is therefore exact. No router is
+        // configured here, so the class sampler is active.
+        prescale_destination_sums(destination_sums(h), 1.0 / static_cast<double>(m),
+                                  scaled_sums_);
+        const double total = class_shard_masses();
         for (std::size_t s = 0; s < shards_.size(); ++s) {
             shards_[s].arrival_rate =
                 total > 0.0 ? total_rate * shard_mass_[s] / total : 0.0;
@@ -584,19 +573,15 @@ void ShardedDesSystem::handle_departure(Shard& shard, std::size_t local_id, doub
     }
 }
 
-void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double epoch_end,
-                                       bool pipelined) {
+void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double epoch_end) {
     Shard& shard = shards_[s];
     const std::size_t local_n = shard.end - shard.begin;
     const std::uint64_t thin_begin = tracer_ != nullptr ? trace::now_ns() : 0;
 
     // Epoch boundary: the one place the shard's calendar FEL may resize or
     // re-tune its day array (shard-owned, so this is race-free; the event
-    // loop below stays allocation-free). The pipelined barrier hoists the
-    // retune sweep so it overlaps the offloaded compute body instead.
-    if (!pipelined) {
-        shard.fel.retune();
-    }
+    // loop below stays allocation-free).
+    shard.fel.retune();
 
     // Shard-local destination prefix sums for this epoch's routing weights,
     // realized with the vectorized scan (exact for the integer-count client
@@ -704,21 +689,13 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
             static_cast<double>(fs.bucket_scans - shard.fel_last.bucket_scans), s);
         shard.fel_last = fs;
     }
-    // Eager reduction (pipelined): fold this shard's integer payloads into
-    // the tree now, concurrently with still-draining shards. Must be the
-    // shard task's final action — everything combine_node reads is written
-    // above, and the acq_rel pending counters order child writes before the
-    // combining thread's reads.
-    if (pipelined && shards_.size() > 1) {
-        eager_fold_from_shard(s);
-    }
 }
 
 void ShardedDesSystem::combine_node(std::size_t level, std::size_t i) {
     // Combines node (level, i) from its two children — shards at level 0,
     // level-1 nodes above — or passes an orphan child through at odd widths.
     // The node writes only its own slot and sums integers, so the call order
-    // (level-by-level or eager last-child-climbs) is immaterial.
+    // within a level is immaterial.
     const std::size_t width = level_width_[level];
     ReduceNode& node = tree_[tree_off_[level] + i];
     const std::size_t a = 2 * i;
@@ -782,55 +759,9 @@ void ShardedDesSystem::fold_tree_levels() {
     }
 }
 
-void ShardedDesSystem::reset_tree_pending() {
-    // Serial O(#nodes) re-arm before the shard fan-out; the parallel_for
-    // submission provides the happens-before to the shard tasks, so relaxed
-    // stores suffice.
-    for (std::size_t level = 0; level < tree_off_.size(); ++level) {
-        const std::size_t width = level_width_[level];
-        const std::size_t next = (width + 1) / 2;
-        for (std::size_t i = 0; i < next; ++i) {
-            tree_pending_[tree_off_[level] + i].n.store(2 * i + 1 < width ? 2 : 1,
-                                                        std::memory_order_relaxed);
-        }
-    }
-}
-
-void ShardedDesSystem::eager_fold_from_shard(std::size_t s) {
-    // Arrive at the leaf-level parent; the last child to arrive at each node
-    // (acq_rel decrement, so the combiner observes both children's writes)
-    // combines it and climbs while it remains last. Exactly one arrival
-    // reaches each node per child per epoch, so every node is combined
-    // exactly once, inside some shard task — the fan-out join therefore
-    // implies the root is folded, and publishes it to the main thread.
-    std::size_t level = 0;
-    std::size_t i = s / 2;
-    while (true) {
-        std::atomic<int>& pending = tree_pending_[tree_off_[level] + i].n;
-        if (pending.fetch_sub(1, std::memory_order_acq_rel) != 1) {
-            return; // a sibling is still running; it will combine this node.
-        }
-        combine_node(level, i);
-        ++level;
-        if (level == tree_off_.size()) {
-            return; // root combined.
-        }
-        i /= 2;
-    }
-}
-
 EpochStats ShardedDesSystem::reduce_epoch() {
-    if (shards_.size() > 1) {
-        fold_tree_levels();
-    }
-    return reduce_tail();
-}
-
-EpochStats ShardedDesSystem::reduce_tail() {
     EpochStats stats;
-    // Root readout: the single shard directly, or the tree root — folded
-    // level by level (pipeline off) or eagerly from the shard tasks
-    // (pipeline on); identical integer payloads either way.
+    // Root readout: the single shard directly, or the folded tree root.
     std::size_t root_hi;
     if (shards_.size() == 1) {
         const Shard& shard = shards_[0];
@@ -841,6 +772,7 @@ EpochStats ShardedDesSystem::reduce_tail() {
         stats.served_packets = shard.stats.served_packets;
         stats.completed_jobs = shard.stats.completed_jobs;
     } else {
+        fold_tree_levels();
         const ReduceNode& root = tree_[tree_off_.back()];
         root_hi = root.hi;
         std::copy_n(root.counts.data(), root_hi, state_counts_.data());
@@ -878,18 +810,23 @@ EpochStats ShardedDesSystem::reduce_tail() {
     return stats;
 }
 
-EpochStats ShardedDesSystem::run_parallel_epoch(Rng& rng) {
+template <typename Prologue>
+EpochStats ShardedDesSystem::run_epoch(Prologue&& prologue, Rng& rng) {
+    const auto t0 = std::chrono::steady_clock::now();
+    {
+        trace::ScopedSpan span(tracer_, "barrier_prologue");
+        prologue();
+    }
     const double epoch_start = epoch_start_time();
     const double epoch_end = epoch_end_time();
     // The lock-free parallel phase: each shard task reads the barrier-phase
     // outputs and touches only its own state. Thread count never changes
     // which shard consumes which draws, only which core runs them.
-    const auto t0 = std::chrono::steady_clock::now();
-    parallel_for(
-        shards_.size(),
-        [&](std::size_t s) { run_shard_epoch(s, epoch_start, epoch_end, false); },
-        threads_);
     const auto t1 = std::chrono::steady_clock::now();
+    parallel_for(
+        shards_.size(), [&](std::size_t s) { run_shard_epoch(s, epoch_start, epoch_end); },
+        threads_);
+    const auto t2 = std::chrono::steady_clock::now();
 
     EpochStats stats;
     {
@@ -897,30 +834,25 @@ EpochStats ShardedDesSystem::run_parallel_epoch(Rng& rng) {
         stats = reduce_epoch();
     }
     advance_epoch(rng);
-    profile_.parallel_seconds += std::chrono::duration<double>(t1 - t0).count();
-    profile_.reduction_seconds += seconds_since(t1);
+    profile_.serial_prologue_seconds += std::chrono::duration<double>(t1 - t0).count();
+    profile_.parallel_seconds += std::chrono::duration<double>(t2 - t1).count();
+    profile_.reduction_seconds += seconds_since(t2);
     ++profile_.epochs;
     ++epochs_run_; // invalidates the merged-quantile cache.
     return stats;
 }
 
 EpochStats ShardedDesSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
+    if (router_.active()) {
+        return step_router(rng);
+    }
     if (done()) {
         throw std::logic_error("ShardedDesSystem::step: episode already finished");
     }
     if (!(h.space() == space_)) {
         throw std::invalid_argument("ShardedDesSystem::step: decision rule on wrong tuple space");
     }
-    // The pipelined epoch takes over unless a classical router is configured
-    // (the legacy rule-with-router combination keeps the historical code
-    // path byte for byte).
-    if (pipeline_ && !router_.active()) {
-        return step_pipelined(nullptr, nullptr, &h, rng);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    begin_epoch(h, rng);
-    profile_.serial_prologue_seconds += seconds_since(t0);
-    return run_parallel_epoch(rng);
+    return run_epoch([&] { begin_epoch(h, rng); }, rng);
 }
 
 EpochStats ShardedDesSystem::step_router(Rng& rng) {
@@ -931,46 +863,31 @@ EpochStats ShardedDesSystem::step_router(Rng& rng) {
     if (done()) {
         throw std::logic_error("ShardedDesSystem::step: episode already finished");
     }
-    if (pipeline_) {
-        return step_pipelined(nullptr, nullptr, nullptr, rng);
-    }
-    const auto t0 = std::chrono::steady_clock::now();
-    begin_epoch_router();
-    profile_.serial_prologue_seconds += seconds_since(t0);
-    return run_parallel_epoch(rng);
+    return run_epoch([&] { begin_epoch_router(); }, rng);
 }
 
 EpochStats ShardedDesSystem::step(const UpperLevelPolicy& policy, Rng& rng) {
     if (router_.active()) {
         return step_router(rng);
     }
+    if (done()) {
+        throw std::logic_error("ShardedDesSystem::step: episode already finished");
+    }
     // Batched epoch query into persistent buffers: the observation, the
     // policy's cached scratch (e.g. the neural policy's GEMM workspace), and
     // the realized rule are all reused across epochs — the policy query is
     // allocation-free at steady state. Identical draws and rule as the
-    // decide() path (decide_into's contract). When the pipeline is on and
-    // the query consumes no caller-RNG draws, only the observation build
-    // stays here; the query itself rides the overlapped compute task.
-    const auto t0 = std::chrono::steady_clock::now();
-    UpperLevelPolicy::Scratch* scratch = nullptr;
-    const bool offload_query = pipeline_ && !policy.decide_consumes_rng();
-    {
-        trace::ScopedSpan span(tracer_, "policy_query");
-        scratch = scratch_for(policy);
-        observed_distribution_into(rng, obs_);
-        if (!offload_query) {
-            policy.decide_into(obs_, lambda_state(), rng, scratch, rule_);
-        }
-    }
-    profile_.serial_prologue_seconds += seconds_since(t0);
-    if (!pipeline_) {
-        return step_with_rule(rule_, rng);
-    }
-    if (done()) {
-        throw std::logic_error("ShardedDesSystem::step: episode already finished");
-    }
-    return offload_query ? step_pipelined(&policy, scratch, nullptr, rng)
-                         : step_pipelined(nullptr, nullptr, &rule_, rng);
+    // decide() path (decide_into's contract).
+    return run_epoch(
+        [&] {
+            {
+                trace::ScopedSpan span(tracer_, "policy_query");
+                observed_distribution_into(rng, obs_);
+                policy.decide_into(obs_, lambda_state(), rng, scratch_for(policy), rule_);
+            }
+            begin_epoch(rule_, rng);
+        },
+        rng);
 }
 
 UpperLevelPolicy::Scratch* ShardedDesSystem::scratch_for(const UpperLevelPolicy& policy) {
@@ -986,193 +903,6 @@ UpperLevelPolicy::Scratch* ShardedDesSystem::scratch_for(const UpperLevelPolicy&
     }
     policy_scratches_.push_back({&policy, policy.make_scratch()});
     return policy_scratches_.back().scratch.get();
-}
-
-EpochStats ShardedDesSystem::step_pipelined(const UpperLevelPolicy* policy,
-                                            UpperLevelPolicy::Scratch* scratch,
-                                            const DecisionRule* h, Rng& rng) {
-    const double epoch_start = epoch_start_time();
-    const double epoch_end = epoch_end_time();
-    const std::size_t m = queues_.size();
-    const std::size_t k = shards_.size();
-    const double total_rate = static_cast<double>(m) * lambda_value();
-    const double inv_m = 1.0 / static_cast<double>(m);
-
-    // ---- Overlapped compute body: every deterministic input of the epoch —
-    // the rule (offloaded policy query), the routing table + fold, the
-    // prescaled law table or the classical weight law. Runs as a pool task
-    // while the main thread sweeps the per-shard FEL retunes. Handing the
-    // caller's rng into the task is an exclusive sequential handoff: the
-    // main thread does not touch it between launch() and wait(), and the
-    // submit/wait pair orders the accesses, so the draw sequence is exactly
-    // the serial one (and the offload is gated on !decide_consumes_rng(), so
-    // shipped policies draw nothing there anyway).
-    const auto t0 = std::chrono::steady_clock::now();
-    const bool router_law =
-        router_.active() && router_.kind() != RouterKind::RoundRobin;
-    const bool dest_law =
-        !router_.active() && config_.client_model != ClientModel::PerClient;
-    auto body = [&] {
-        trace::ScopedSpan span(tracer_, "barrier_overlap");
-        if (policy != nullptr) {
-            policy->decide_into(obs_, lambda_state(), rng, scratch, rule_);
-        }
-        if (router_law) {
-            router_.epoch_weights(queues_, time(), dest_p_);
-        } else if (dest_law) {
-            const std::span<const double> sums = destination_sums(policy != nullptr ? rule_ : *h);
-            if (config_.client_model == ClientModel::InfiniteClients) {
-                // The class sampler's per-class weights w(z) = sums[z] / M.
-                prescale_destination_sums(sums, inv_m, scaled_sums_);
-            }
-        }
-    };
-    CompletionToken token;
-    const bool have_body = policy != nullptr || router_law || dest_law;
-    if (have_body) {
-        token.launch(body, threads_);
-    }
-    // Overlapped with the body: the epoch-boundary FEL retunes (shard-owned,
-    // no routing inputs, no RNG) the non-pipelined barrier pays at the head
-    // of every shard task.
-    parallel_for(
-        k, [&](std::size_t s) { shards_[s].fel.retune(); }, threads_);
-    token.wait();
-
-    // ---- Stage A: per-shard routing masses from the folded law.
-    // InfiniteClients reads its shards' class counts (O(K·|Z|), no per-queue
-    // law); Aggregated fans the O(M) gather out over the pool and writes
-    // dest_p_ because its shard multinomials need the per-queue weights.
-    if (router_law) {
-        parallel_for(
-            k,
-            [&](std::size_t s) {
-                const std::size_t begin = shard_begin_[s];
-                const std::size_t n = shard_begin_[s + 1] - begin;
-                shard_mass_[s] =
-                    vec_sum(std::span<const double>(dest_p_.data() + begin, n));
-            },
-            threads_);
-    } else if (dest_law) {
-        if (config_.client_model == ClientModel::InfiniteClients) {
-            class_shard_masses();
-        } else {
-            const std::span<const double> sums(g_.data(), hist_.size());
-            parallel_for(
-                k,
-                [&](std::size_t s) {
-                    const std::size_t begin = shard_begin_[s];
-                    const std::size_t n = shard_begin_[s + 1] - begin;
-                    gather_scale(std::span<const int>(queues_.data() + begin, n), sums,
-                                 inv_m, std::span<double>(dest_p_.data() + begin, n));
-                    shard_mass_[s] =
-                        vec_sum(std::span<const double>(dest_p_.data() + begin, n));
-                },
-                threads_);
-        }
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    profile_.overlapped_compute_seconds +=
-        std::chrono::duration<double>(t1 - t0).count();
-
-    // ---- Serial prologue: the caller-RNG draws and O(K) bookkeeping that
-    // genuinely cannot overlap shard work. Same draw sequence as the
-    // non-pipelined begin_epoch / begin_epoch_router.
-    {
-        trace::ScopedSpan span(tracer_, "barrier_prologue");
-        if (router_.active()) {
-            if (router_.kind() == RouterKind::RoundRobin) {
-                for (Shard& shard : shards_) {
-                    shard.arrival_rate = total_rate *
-                                         static_cast<double>(shard.end - shard.begin) *
-                                         inv_m;
-                }
-            } else {
-                double total = 0.0;
-                for (const double mass : shard_mass_) { // fixed K-term order.
-                    total += mass;
-                }
-                for (std::size_t s = 0; s < k; ++s) {
-                    shards_[s].arrival_rate =
-                        total > 0.0 ? total_rate * shard_mass_[s] / total : 0.0;
-                }
-            }
-        } else {
-            switch (config_.client_model) {
-            case ClientModel::PerClient: {
-                // Literal Algorithm 1 on the snapshot — caller-RNG draws, so
-                // never offloaded; the pipelined gain for this model is the
-                // retune overlap and the eager reduction.
-                const DecisionRule& rule = policy != nullptr ? rule_ : *h;
-                sample_per_client_counts(queues_, rule, config_.num_clients, rng,
-                                         sampled_, states_, counts_);
-                const double total = partition_shard_mass(
-                    std::span<const std::uint64_t>(counts_), shard_begin_, shard_mass_);
-                for (std::size_t s = 0; s < k; ++s) {
-                    shards_[s].arrival_rate =
-                        total > 0.0 ? total_rate * shard_mass_[s] / total : 0.0;
-                }
-                break;
-            }
-            case ClientModel::Aggregated: {
-                double total = 0.0;
-                for (const double mass : shard_mass_) { // fixed K-term order.
-                    total += mass;
-                }
-                if (total > 0.0) {
-                    rng.multinomial(config_.num_clients, shard_mass_, total,
-                                    shard_clients_);
-                } else {
-                    std::fill(shard_clients_.begin(), shard_clients_.end(), 0);
-                }
-                const double inv_n = 1.0 / static_cast<double>(config_.num_clients);
-                for (std::size_t s = 0; s < k; ++s) {
-                    shards_[s].clients = shard_clients_[s];
-                    shards_[s].arrival_rate =
-                        total_rate * static_cast<double>(shard_clients_[s]) * inv_n;
-                }
-                break;
-            }
-            case ClientModel::InfiniteClients: {
-                double total = 0.0;
-                for (const double mass : shard_mass_) { // fixed K-term order.
-                    total += mass;
-                }
-                for (std::size_t s = 0; s < k; ++s) {
-                    shards_[s].arrival_rate =
-                        total > 0.0 ? total_rate * shard_mass_[s] / total : 0.0;
-                }
-                break;
-            }
-            }
-        }
-        if (k > 1) {
-            reset_tree_pending();
-        }
-    }
-    const auto t2 = std::chrono::steady_clock::now();
-    profile_.serial_prologue_seconds += std::chrono::duration<double>(t2 - t1).count();
-
-    // ---- Parallel phase with eager reduction folds.
-    parallel_for(
-        k, [&](std::size_t s) { run_shard_epoch(s, epoch_start, epoch_end, true); },
-        threads_);
-    const auto t3 = std::chrono::steady_clock::now();
-    profile_.parallel_seconds += std::chrono::duration<double>(t3 - t2).count();
-
-    // ---- Reduction tail: the tree root is already folded (inside whichever
-    // shard task arrived last — the fan-out join published it); read it out,
-    // run the fixed-order floating-point pass, advance λ.
-    EpochStats stats;
-    {
-        trace::ScopedSpan span(tracer_, "reduction_tree");
-        stats = reduce_tail();
-    }
-    advance_epoch(rng);
-    profile_.reduction_seconds += seconds_since(t3);
-    ++profile_.epochs;
-    ++epochs_run_; // invalidates the merged-quantile cache.
-    return stats;
 }
 
 DesEpisodeStats ShardedDesSystem::run_episode(const UpperLevelPolicy& policy, Rng& rng) {

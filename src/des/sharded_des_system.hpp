@@ -50,19 +50,9 @@
 ///     pool, while the few floating-point accumulators (areas, sojourn sums)
 ///     stay a fixed-order serial pass over the K shards; λ advances.
 ///
-/// Overlapped pipeline (`config.pipeline`, default on; see the
-/// "Pipelined barrier" section of docs/ARCHITECTURE.md): the barrier is
-/// restructured so only the caller-RNG draws and the O(K) bookkeeping stay
-/// serial. The deterministic barrier compute (policy GEMM query, routing
-/// table + fold) runs as a pool task overlapped with the per-shard FEL
-/// retunes; the Aggregated O(M) destination-law work fans out over the
-/// pool (InfiniteClients has none — its shard masses are O(K·|Z|)); and
-/// each shard folds its integer payloads into the
-/// reduction tree the moment its event loop finishes (eager reduction —
-/// atomic pending counters pick the last-arriving child to combine each
-/// node, which is order-immaterial because only integers travel through the
-/// tree). Bit-identical to the non-pipelined barrier by construction; the
-/// seam exists for A/B benching and bisection.
+/// Phases 1 and 3 are the only synchronization — one fan-out and one join
+/// per epoch — because the Δt-stale snapshot freezes the routing law for the
+/// whole epoch. See the "Epoch barrier" section of docs/ARCHITECTURE.md.
 ///
 /// Determinism contract: results are a function of (seed, K) only — never
 /// of the thread count — because every RNG stream is owned by exactly one
@@ -84,7 +74,6 @@
 #include "support/statistics.hpp"
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -127,7 +116,8 @@ public:
     std::vector<double> observed_distribution(Rng& rng) const;
 
     /// One decision epoch: serial barrier phase, parallel shard event loops,
-    /// serial reduction (see file comment).
+    /// serial reduction (see file comment). With a classical router
+    /// configured the rule is ignored (forwards to step_router).
     EpochStats step_with_rule(const DecisionRule& h, Rng& rng);
     /// One decision epoch under the configured classical router: the weight
     /// law is partitioned into shard masses at the barrier exactly like the
@@ -154,32 +144,21 @@ public:
     double sojourn_p99() const { return merged_quantile(2); }
 
     /// Cumulative wall-clock split of the epoch since the last reset — the
-    /// Amdahl accounting that `bench_des_scale` reports. Four components:
-    /// the irreducibly serial prologue (caller-RNG draws + O(K) rate/tree
-    /// bookkeeping), the overlappable deterministic compute (policy query,
-    /// routing table/fold, per-shard mass fan-out — a pool task plus
-    /// parallel_for work in pipelined mode, folded into the prologue when
-    /// the pipeline is off), the reduction tail (root readout + fixed-order
-    /// floating-point pass + λ advance), and the parallel shard event loops.
-    /// The serial fraction is serial_seconds() / total_seconds(): prologue
-    /// and reduction are the phases that cannot overlap shard work.
+    /// Amdahl accounting that `bench_des_scale` reports. Three components:
+    /// the serial prologue (policy query, routing law, per-shard masses and
+    /// their caller-RNG draws), the parallel shard event loops, and the
+    /// reduction tail (tree fold + fixed-order floating-point pass + λ
+    /// advance). The serial fraction is serial_seconds() / total_seconds().
     struct BarrierProfile {
-        double serial_prologue_seconds = 0.0;    ///< RNG draws + O(K) bookkeeping
-                                                 ///< (pipeline off: the whole
-                                                 ///< pre-parallel barrier).
-        double overlapped_compute_seconds = 0.0; ///< deterministic barrier compute
-                                                 ///< (0 when the pipeline is off).
-        double reduction_seconds = 0.0;          ///< reduction tail + λ advance.
-        double parallel_seconds = 0.0;           ///< shard event loops (wall clock).
-        std::uint64_t epochs = 0;                ///< epochs accumulated.
+        double serial_prologue_seconds = 0.0; ///< the whole pre-parallel barrier.
+        double reduction_seconds = 0.0;       ///< reduction + λ advance.
+        double parallel_seconds = 0.0;        ///< shard event loops (wall clock).
+        std::uint64_t epochs = 0;             ///< epochs accumulated.
 
         double serial_seconds() const noexcept {
             return serial_prologue_seconds + reduction_seconds;
         }
-        double total_seconds() const noexcept {
-            return serial_prologue_seconds + overlapped_compute_seconds +
-                   reduction_seconds + parallel_seconds;
-        }
+        double total_seconds() const noexcept { return serial_seconds() + parallel_seconds; }
     };
     const BarrierProfile& barrier_profile() const noexcept { return profile_; }
 
@@ -254,21 +233,22 @@ private:
 
     /// Barrier phase 1: routing weights, per-shard masses/rates, shard
     /// client totals — everything the parallel phase consumes read-only.
+    /// Policy path only: never called with a classical router configured.
     void begin_epoch(const DecisionRule& h, Rng& rng);
     /// hist_ from the reduced state counts, then the routing table and its
     /// fold: the per-state destination sums Σ_k g(k, z), O(d·|Z|^d).
     std::span<const double> destination_sums(const DecisionRule& h);
-    /// Prefix-sum barrier piece (Aggregated, and InfiniteClients under a
-    /// router): realizes the per-queue destination law (the O(M) gather and
-    /// per-shard `vec_sum` masses fanned out over the pool — each shard task
-    /// writes only its own `dest_p_` slice and mass slot) and returns the
-    /// total mass as the fixed-order K-term sum, bit-identical to
-    /// `partition_shard_mass` over the full law.
+    /// Prefix-sum barrier piece (Aggregated): realizes the per-queue
+    /// destination law (the O(M) gather and per-shard `vec_sum` masses
+    /// fanned out over the pool — each shard task writes only its own
+    /// `dest_p_` slice and mass slot) and returns the total mass as the
+    /// fixed-order K-term sum, bit-identical to `partition_shard_mass` over
+    /// the full law.
     double destination_law_shard_masses(const DecisionRule& h);
     /// Class-sampler barrier piece: W_s = Σ_z c_s[z]·scaled_sums_[z] in fixed
     /// z order from each shard's snapshot class counts, with the partial sums
     /// the arrival sampler scans; returns the fixed-order K-term total.
-    /// O(K·|Z|). Both pipeline settings call it, so they stay bit-identical.
+    /// O(K·|Z|).
     double class_shard_masses();
     /// Counting sort of the shard's local ids by state into members/pos/
     /// class_begin (reset only).
@@ -293,45 +273,24 @@ private:
     /// Consumes no RNG draws (the classical weight laws are deterministic
     /// functions of the snapshot).
     void begin_epoch_router();
-    /// Parallel shard loops + fixed-order reduction + λ advance — the tail
-    /// shared by the policy and router paths.
-    EpochStats run_parallel_epoch(Rng& rng);
+    /// One epoch around a barrier prologue (begin_epoch or
+    /// begin_epoch_router): times and traces it as `barrier_prologue`, then
+    /// runs the parallel shard loops, the fixed-order reduction and the λ
+    /// advance.
+    template <typename Prologue>
+    EpochStats run_epoch(Prologue&& prologue, Rng& rng);
     /// Parallel phase: shard s's epoch on [epoch_start, epoch_end).
-    /// `pipelined` selects the overlapped-barrier variant: the FEL retune is
-    /// already done, and the shard folds eagerly into the reduction tree
-    /// when its loop finishes.
-    void run_shard_epoch(std::size_t s, double epoch_start, double epoch_end,
-                         bool pipelined);
+    void run_shard_epoch(std::size_t s, double epoch_start, double epoch_end);
     /// Barrier phase 2: fixed-order reduction into the epoch's EpochStats
-    /// and the global state-count histogram (non-pipelined: folds the tree
-    /// level by level first).
+    /// and the global state-count histogram.
     EpochStats reduce_epoch();
-    /// Folds the pairwise tree level by level (non-pipelined path; the
-    /// pipelined path folds eagerly from the shard tasks instead).
+    /// Folds the pairwise tree level by level (the first step of
+    /// reduce_epoch; K > 1 only).
     void fold_tree_levels();
     /// Combines tree node (level, i) from its children (shards at level 0).
     /// Writes only the node's own slot; integer payloads, so the call order
-    /// within a level — and eager vs level-by-level folding — is immaterial.
+    /// within a level is immaterial.
     void combine_node(std::size_t level, std::size_t i);
-    /// Reduction tail shared by both paths: reads the folded root (or the
-    /// single shard), zeroes the stale histogram tail, runs the fixed-order
-    /// floating-point pass, and finalizes the epoch stats.
-    EpochStats reduce_tail();
-    /// Eager reduction: shard s's task arrives at its leaf-level parent; the
-    /// last child to arrive (atomic pending counter) combines the node and
-    /// climbs while it remains last. All folding happens inside shard tasks,
-    /// so the parallel_for join implies tree completion.
-    void eager_fold_from_shard(std::size_t s);
-    /// Re-arms the eager-fold pending counters (child counts) for an epoch.
-    void reset_tree_pending();
-    /// One overlapped-pipeline epoch (`config.pipeline`). Exactly one of
-    /// {policy, h} is non-null for the policy/rule paths; both null means
-    /// the classical-router path. `policy` non-null offloads the (RNG-free)
-    /// epoch query to the compute task; rng-consuming policies are queried
-    /// by the caller first and come in through `h`.
-    EpochStats step_pipelined(const UpperLevelPolicy* policy,
-                              UpperLevelPolicy::Scratch* scratch, const DecisionRule* h,
-                              Rng& rng);
     /// Cached per-policy scratch, keyed by policy identity so alternating
     /// policies (eval-during-train A/B/A) reuse both workspaces instead of
     /// rebuilding on every switch. Entries live until reset().
@@ -370,7 +329,6 @@ private:
     EpochRouter router_;
     ServiceDistribution service_;
     std::size_t threads_ = 0;
-    bool pipeline_ = true;
     /// InfiniteClients without a router: arrivals use the two-stage class
     /// sampler instead of per-queue prefix sums (see file comment).
     bool class_sampler_ = false;
@@ -381,18 +339,10 @@ private:
     // Fixed-shape pairwise reduction tree over the K shards: level widths
     // K, ⌈K/2⌉, …, 1, flattened into `tree_` with `tree_off_[l]` the offset
     // of level l's first node (empty when K == 1). `level_width_[l]` is the
-    // *input* width of level l (K, then ⌈K/2⌉, …). For the eager pipelined
-    // fold each node carries a cache-line-padded pending counter, re-armed
-    // to its child count every epoch; the counters live in their own array
-    // because atomics are not movable and two adjacent nodes' counters must
-    // not false-share.
+    // *input* width of level l (K, then ⌈K/2⌉, …).
     std::vector<ReduceNode> tree_;
     std::vector<std::size_t> tree_off_;
     std::vector<std::size_t> level_width_;
-    struct alignas(64) PendingCount {
-        std::atomic<int> n{0};
-    };
-    std::vector<PendingCount> tree_pending_;
     std::size_t state_hi_ = 0; ///< valid extent of state_counts_; zeros above.
 
     // Global barrier-phase state.
@@ -401,8 +351,9 @@ private:
     std::vector<double> g_;                ///< routing table g[k·|Z| + z].
     std::vector<int> tuple_;               ///< decode buffer (d).
     std::vector<double> suffix_;           ///< suffix products (d + 1).
-    std::vector<double> dest_p_;           ///< per-queue destination law (M;
-                                           ///< empty under the class sampler).
+    std::vector<double> dest_p_;           ///< per-queue weights (M): the
+                                           ///< Aggregated law or a weight-law
+                                           ///< router's; empty otherwise.
     std::vector<double> scaled_sums_;      ///< (1/M)·folded routing sums (|Z|):
                                            ///< the per-class weights w(z) of the
                                            ///< InfiniteClients class sampler.
@@ -433,7 +384,6 @@ private:
     MetricsRegistry* shard_registry_ = nullptr;
     MetricsRegistry::Id shard_events_id_ = 0;
     MetricsRegistry::Id barrier_prologue_id_ = 0;
-    MetricsRegistry::Id barrier_overlap_id_ = 0;
     MetricsRegistry::Id barrier_reduce_id_ = 0;
     MetricsRegistry::Id barrier_parallel_id_ = 0;
     MetricsRegistry::Id fel_schedules_id_ = 0;

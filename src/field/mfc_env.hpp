@@ -70,10 +70,9 @@ public:
 
     /// True when `decide`/`decide_into` actually draw from `rng` (stochastic
     /// rule selection). All shipped policies are deterministic epoch queries,
-    /// so the default is false. The pipelined sharded barrier uses this to
-    /// decide whether the query may run on the overlapped compute task:
-    /// deterministic queries overlap; rng-consuming ones stay in the serial
-    /// prologue so the caller-RNG draw order is position-independent.
+    /// so the default is false. No simulator branches on it; wrapping
+    /// policies forward it so the wrapped policy's draw contract stays
+    /// queryable.
     virtual bool decide_consumes_rng() const noexcept { return false; }
 
     virtual std::string name() const = 0;

@@ -259,6 +259,9 @@ EpochStats FiniteSystem::simulate_epoch_from_rates(Rng& rng) {
 }
 
 EpochStats FiniteSystem::step_with_rule(const DecisionRule& h, Rng& rng) {
+    if (router_.active()) {
+        return step_router(rng);
+    }
     if (done()) {
         throw std::logic_error("FiniteSystem::step: episode already finished");
     }

@@ -85,12 +85,6 @@ struct FiniteSystemConfig {
     /// Sharded backend only: worker threads for the epoch-parallel phase
     /// (0 = all hardware threads). Never affects results, only wall clock.
     std::size_t threads = 0;
-    /// Sharded backend only: overlapped epoch pipeline (eager reduction-tree
-    /// folds, offloaded deterministic barrier compute, fused destination-law
-    /// gathers). Bit-identical to the non-pipelined barrier for fixed
-    /// (seed, shards) — the seam exists for A/B benching and bisection, not
-    /// because results differ (`--pipeline {on,off}` CLI/bench flag).
-    bool pipeline = true;
     /// Event-driven backends only: future-event-list implementation for the
     /// event loop. Both kinds pop events in the identical (time, id) order,
     /// so episodes are bit-identical; `Calendar` is amortized O(1) per event
@@ -140,7 +134,8 @@ public:
     /// configured the policy is ignored and this forwards to step_router.
     EpochStats step(const UpperLevelPolicy& policy, Rng& rng);
     /// Same with an explicit decision rule (skips the policy query).
-    /// Allocation-free in steady state (see file comment).
+    /// Allocation-free in steady state (see file comment). With a classical
+    /// router configured the rule is ignored (forwards to step_router).
     EpochStats step_with_rule(const DecisionRule& h, Rng& rng);
     /// One decision epoch under the configured classical router (no policy
     /// involved); requires `config().router.kind != RouterKind::Policy`.

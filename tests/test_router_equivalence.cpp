@@ -113,23 +113,51 @@ TEST(RouterEquivalence, SqStaleAtZeroPeriodIsExactlyJsq) {
     expect_same_episode<ShardedDesSystem>(jsq, sq0, 31, "sharded");
 }
 
-TEST(RouterEquivalence, RouterPathIgnoresThePolicyArgument) {
-    // With a classical router configured, step(policy) forwards to the
-    // router kernel: the policy-taking episode overload must reproduce the
-    // router-only overload exactly.
-    const FiniteSystemConfig config = fleet_config({RouterKind::Jsq, 2, 0.0});
+template <class System>
+void expect_router_ignores_the_rule(const FiniteSystemConfig& config, const char* label) {
+    // step(policy) and step_with_rule(h) must both forward to the router
+    // kernel, so each reproduces the router-only epochs exactly.
     const TupleSpace space(config.queue.num_states(), config.d);
     const FixedRulePolicy decoy = make_rnd_policy(space);
-    DesSystem with_policy(config);
-    DesSystem router_only(config);
-    Rng rng_a(5);
-    Rng rng_b(5);
-    with_policy.reset(rng_a);
-    router_only.reset(rng_b);
-    const EpisodeStats ep_a = with_policy.run_episode(decoy, rng_a);
-    const EpisodeStats ep_b = router_only.run_episode(rng_b);
-    EXPECT_DOUBLE_EQ(ep_a.total_drops_per_queue, ep_b.total_drops_per_queue);
-    EXPECT_EQ(ep_a.accepted_packets, ep_b.accepted_packets);
+    System router_only(config);
+    System with_policy(config);
+    System with_rule(config);
+    Rng rng_router(5);
+    Rng rng_policy(5);
+    Rng rng_rule(5);
+    router_only.reset(rng_router);
+    with_policy.reset(rng_policy);
+    with_rule.reset(rng_rule);
+    std::uint64_t accepted = 0;
+    for (int t = 0; !router_only.done(); ++t) {
+        const EpochStats want = router_only.step_router(rng_router);
+        const auto expect_same = [&](const EpochStats& got, const char* path) {
+            EXPECT_EQ(got.accepted_packets, want.accepted_packets)
+                << label << ' ' << path << " epoch " << t;
+            EXPECT_EQ(got.dropped_packets, want.dropped_packets)
+                << label << ' ' << path << " epoch " << t;
+            EXPECT_EQ(got.mean_queue_length, want.mean_queue_length)
+                << label << ' ' << path << " epoch " << t;
+        };
+        expect_same(with_policy.step(decoy, rng_policy), "step(policy)");
+        expect_same(with_rule.step_with_rule(decoy.rule(), rng_rule), "step_with_rule");
+        accepted += want.accepted_packets;
+    }
+    EXPECT_GT(accepted, 0u) << label;
+}
+
+TEST(RouterEquivalence, RouterPathIgnoresThePolicyArgument) {
+    // With a classical router configured, the policy and the explicit rule
+    // are both ignored on every backend and client model.
+    for (const ClientModel model :
+         {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
+        FiniteSystemConfig config = fleet_config({RouterKind::Jsq, 2, 0.0});
+        config.client_model = model;
+        const std::string label = std::to_string(static_cast<int>(model));
+        expect_router_ignores_the_rule<FiniteSystem>(config, ("finite " + label).c_str());
+        expect_router_ignores_the_rule<DesSystem>(config, ("des " + label).c_str());
+        expect_router_ignores_the_rule<ShardedDesSystem>(config, ("sharded " + label).c_str());
+    }
 }
 
 TEST(RouterEquivalence, ShardedThreadCountInvariantWithGeneralService) {

@@ -152,14 +152,10 @@ TEST(ShardedDesSystem, ConditionedReplayPinsTheLambdaPath) {
 // ---------------------------------------------------------------------------
 
 DesEpisodeStats run_sharded_episode(ClientModel model, std::size_t shards,
-                                    std::size_t threads, bool sojourn = false,
-                                    bool pipeline = true,
-                                    FelKind fel = FelKind::Calendar) {
+                                    std::size_t threads, bool sojourn = false) {
     FiniteSystemConfig config = small_config(model, shards, 2.0, 25);
     config.threads = threads;
     config.track_sojourn = sojourn;
-    config.pipeline = pipeline;
-    config.fel = fel;
     ShardedDesSystem system(config);
     const TupleSpace space(config.queue.num_states(), config.d);
     const FixedRulePolicy policy = make_jsq_policy(space);
@@ -189,15 +185,19 @@ void expect_bit_identical(const DesEpisodeStats& a, const DesEpisodeStats& b) {
 TEST(ShardedDesSystem, ThreadCountNeverChangesResults) {
     // The acceptance contract of the sharded backend: same (seed, K) on 1,
     // 2, and 8 threads is bit-identical, for every client model, including
-    // the per-job sojourn path.
+    // the per-job sojourn path, and for tree shapes with and without orphan
+    // nodes (K = 1 bypasses the tree, K = 5 has pass-through children, K = 8
+    // is the full binary case).
     for (const ClientModel model :
          {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
-        SCOPED_TRACE(static_cast<int>(model));
-        const DesEpisodeStats one = run_sharded_episode(model, 4, 1, true);
-        const DesEpisodeStats two = run_sharded_episode(model, 4, 2, true);
-        const DesEpisodeStats eight = run_sharded_episode(model, 4, 8, true);
-        expect_bit_identical(one, two);
-        expect_bit_identical(one, eight);
+        for (const std::size_t shards : {std::size_t{1}, std::size_t{5}, std::size_t{8}}) {
+            SCOPED_TRACE(static_cast<int>(model) * 100 + static_cast<int>(shards));
+            const DesEpisodeStats one = run_sharded_episode(model, shards, 1, true);
+            const DesEpisodeStats two = run_sharded_episode(model, shards, 2, true);
+            const DesEpisodeStats eight = run_sharded_episode(model, shards, 8, true);
+            expect_bit_identical(one, two);
+            expect_bit_identical(one, eight);
+        }
     }
 }
 
@@ -262,49 +262,21 @@ TEST(ShardedDesSystem, BarrierProfileSplitsEpochTime) {
     EXPECT_EQ(profile.epochs, 12u);
     EXPECT_GT(profile.serial_seconds(), 0.0);
     EXPECT_GE(profile.serial_prologue_seconds, 0.0);
-    EXPECT_GE(profile.overlapped_compute_seconds, 0.0);
     EXPECT_GE(profile.reduction_seconds, 0.0);
     EXPECT_GE(profile.parallel_seconds, 0.0);
     EXPECT_GE(profile.total_seconds(), profile.serial_seconds());
     system.reset(rng); // reset clears the profile with the rest of the state
     EXPECT_EQ(system.barrier_profile().epochs, 0u);
     EXPECT_EQ(system.barrier_profile().serial_seconds(), 0.0);
-    EXPECT_EQ(system.barrier_profile().overlapped_compute_seconds, 0.0);
 }
 
-TEST(ShardedDesSystem, PipelineOnAndOffAreBitIdentical) {
-    // The pipelined barrier (eager reduction folds, offloaded epoch compute,
-    // fused gather kernels) must reproduce the non-pipelined episode bit for
-    // bit — for every client model, both FEL kinds, tree shapes with and
-    // without orphan nodes (K = 1 bypasses the tree, K = 5 has pass-through
-    // children, K = 8 is the full binary case), on 1, 2, and 8 threads.
-    for (const ClientModel model :
-         {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
-        for (const FelKind fel : {FelKind::Heap, FelKind::Calendar}) {
-            for (const std::size_t shards : {std::size_t{1}, std::size_t{5}, std::size_t{8}}) {
-                SCOPED_TRACE(static_cast<int>(model) * 100 +
-                             static_cast<int>(fel) * 10 + static_cast<int>(shards));
-                const DesEpisodeStats off =
-                    run_sharded_episode(model, shards, 1, true, false, fel);
-                for (const std::size_t threads :
-                     {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-                    const DesEpisodeStats on =
-                        run_sharded_episode(model, shards, threads, true, true, fel);
-                    expect_bit_identical(off, on);
-                }
-            }
-        }
-    }
-}
-
-TEST(ShardedDesSystem, ClassicalRouterPipelineOnAndOffAreBitIdentical) {
-    // The router epoch path has its own pipelined flow (weight law on the
-    // overlapped task, per-shard vec_sum masses): pin jsq-d and sq-stale
-    // router-only episodes across the seam and across thread counts.
-    const auto run = [](RouterKind kind, bool pipeline, std::size_t threads) {
+TEST(ShardedDesSystem, ClassicalRouterThreadCountNeverChangesResults) {
+    // The router epoch path (weight law and shard masses at the barrier,
+    // per-shard prefix sums in the shard tasks): pin jsq-d and sq-stale
+    // router-only episodes across thread counts.
+    const auto run = [](RouterKind kind, std::size_t threads) {
         FiniteSystemConfig config = small_config(ClientModel::Aggregated, 5, 2.0, 25);
         config.threads = threads;
-        config.pipeline = pipeline;
         config.track_sojourn = true;
         config.router.kind = kind;
         config.router.d = 2;
@@ -316,9 +288,7 @@ TEST(ShardedDesSystem, ClassicalRouterPipelineOnAndOffAreBitIdentical) {
     };
     for (const RouterKind kind : {RouterKind::JsqD, RouterKind::SqStale}) {
         SCOPED_TRACE(static_cast<int>(kind));
-        const DesEpisodeStats off = run(kind, false, 1);
-        expect_bit_identical(off, run(kind, true, 1));
-        expect_bit_identical(off, run(kind, true, 8));
+        expect_bit_identical(run(kind, 1), run(kind, 8));
     }
 }
 

@@ -223,8 +223,8 @@ FiniteSystemConfig small_sharded_config() {
 /// Drops the wall-clock gauge fields (barrier timings) from a JSONL series
 /// dump; everything left must be a function of (seed, K) only.
 std::string strip_timing_fields(std::string text) {
-    for (const char* key : {",\"barrier_prologue_seconds\":", ",\"barrier_overlap_seconds\":",
-                            ",\"barrier_reduce_seconds\":", ",\"barrier_parallel_seconds\":"}) {
+    for (const char* key : {",\"barrier_prologue_seconds\":", ",\"barrier_reduce_seconds\":",
+                            ",\"barrier_parallel_seconds\":"}) {
         for (std::size_t pos = text.find(key); pos != std::string::npos;
              pos = text.find(key, pos)) {
             std::size_t end = pos + std::string(key).size();

@@ -135,9 +135,9 @@ TEST(VecKernels, GatherScaleIsBitExact) {
 }
 
 TEST(VecKernels, GatherSumIsBitEqualToComposedGatherThenSum) {
-    // The fused barrier kernel of the pipelined sharded backend: the shard
-    // mass over a prescaled table must equal gather_scale(scale = 1) followed
-    // by vec_sum *bit for bit* — both instantiate the same 4-lane loop body.
+    // The fused gather kernel: a shard mass over a prescaled table must
+    // equal gather_scale(scale = 1) followed by vec_sum *bit for bit* — both
+    // instantiate the same 4-lane loop body.
     Rng rng(108);
     const std::vector<double> table = random_doubles(32, rng);
     for (const std::size_t n : kSizes) {
