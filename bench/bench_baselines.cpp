@@ -41,7 +41,7 @@ CellStats run_cell(const ExperimentConfig& experiment, const UpperLevelPolicy& p
     config.track_sojourn = true;
     const auto rows = run_replications(
         episodes, seed, threads, [&](std::size_t, Rng& rng) -> std::array<double, 6> {
-            DesSystem system(config);
+            ShardedDesSystem system(config);
             system.reset(rng);
             const DesEpisodeStats ep = system.run_episode(policy, rng);
             const double offered =
@@ -141,7 +141,7 @@ int main(int argc, char** argv) {
     // CEM/PPO trainers refine, cheap enough to fit the CI budget.
     ExperimentConfig base;
     base.dt = dt;
-    base.backend = SimBackend::Des;
+    base.backend = SimBackend::ShardedDes;
     const MfcConfig mfc = base.mfc(/*eval_horizon_instead=*/true);
     const TupleSpace space(mfc.queue.num_states(), mfc.d);
     const std::vector<double> beta_grid{0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0};

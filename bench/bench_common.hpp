@@ -90,11 +90,11 @@ private:
 };
 
 /// Registers the shared `--backend` flag: every finite-system bench can run
-/// its cells on the epoch-synchronous, event-driven, or sharded simulator.
+/// its cells on the epoch-synchronous or the event-driven simulator.
 inline void register_backend_flag(CliParser& cli) {
     cli.flag("backend", "finite",
-             "Finite-system simulator: 'finite' (epoch-synchronous Gillespie), "
-             "'des' (event-driven), or 'sharded-des' (epoch-parallel event-driven)");
+             "Finite-system simulator: 'finite' (epoch-synchronous Gillespie) or "
+             "'sharded-des' (epoch-parallel event-driven; aliases 'des', 'sharded')");
 }
 
 /// Resolves the registered --backend flag; exits 2 with a diagnostic on an

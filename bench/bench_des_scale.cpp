@@ -6,23 +6,28 @@
 /// queues M. Per-queue load shrinks as 1/M, which is exactly the regime the
 /// event-driven backend exists for: the epoch-synchronous simulator pays
 /// O(M) RNG/kernel work every Δt no matter how idle the fleet is, while DES
-/// cost tracks the (fixed) event count. Three parts:
+/// cost tracks the (fixed) event count. Every DES run below is
+/// `ShardedDesSystem`; unless a part says otherwise it runs the default
+/// K = min(8, M) shards on one thread, like-for-like with the single-threaded
+/// epoch-synchronous backend. Parts:
 ///
 ///  1. M-sweep, both backends, one episode each (InfiniteClients — the
 ///     mean-field client model whose cost is N-independent; DES realizes it
-///     by per-job d-sampling). Reports per-episode wall clocks, the speedup
-///     at every M including M = 10^5, and the largest M each backend
-///     finishes inside --budget seconds.
+///     by class-count arrival sampling). Reports per-episode wall clocks,
+///     the speedup at every M including M = 10^5, and the largest M each
+///     backend finishes inside --budget seconds.
+///  1b. FEL A/B (heap vs calendar) at M = 10^5 on one shard, so a single
+///     event list holds every queue's departure.
 ///  2. N-sweep at M = 10^4 with the exact finite-N Aggregated client model
 ///     (multinomial client counts) up to N = 10^6 on the DES backend.
-///  3. A sojourn showcase: DES per-job p50/p95/p99 at M = 10^4 — numbers
-///     the epoch-synchronous backend cannot produce at all.
-///  4. Thread/shard scaling of the sharded backend on the `large-n`
-///     configuration (M = 10^4, N = 10^6): one episode per thread count in
-///     {1, 2, 4, 8} against the single-threaded unsharded DES baseline,
-///     with per-point `sharded_speedup_*` rows — and the epoch barrier's
-///     serial/parallel wall-clock split (`sharded_barrier_*` rows, its
-///     Amdahl accounting) — in the --json artifact.
+///  3. A sojourn showcase: DES per-job p50/p95/p99 at M = 10^4 on one shard
+///     — numbers the epoch-synchronous backend cannot produce at all.
+///  4. Thread scaling of the sharded backend on the `large-n` configuration
+///     (M = 10^4, N = 10^6): one episode per thread count in {1, 2, 4, 8}
+///     against the same K shards on one thread, with per-point
+///     `sharded_speedup_*` rows — and the epoch barrier's serial/parallel
+///     wall-clock split (`sharded_barrier_*` rows, its Amdahl accounting) —
+///     in the --json artifact.
 ///  5. Sharded episodes at M = 10^7 queues (InfiniteClients, 40 epochs — the
 ///     fleet-sparse horizon) at K = 8 and K = 32 shards: InfiniteClients
 ///     epochs are event-proportional (class-count arrival sampling, no O(M)
@@ -31,7 +36,6 @@
 ///
 /// All timings are appended to --json for the CI benchmark artifact.
 #include "bench_common.hpp"
-#include "des/des_system.hpp"
 #include "des/sharded_des_system.hpp"
 #include "support/trace.hpp"
 
@@ -43,7 +47,8 @@ namespace {
 using namespace mflb;
 
 /// The scale-out configuration at M queues: two-level modulated arrivals
-/// whose levels are scaled so the *total* offered load stays fixed.
+/// whose levels are scaled so the *total* offered load stays fixed. The DES
+/// runs one thread (ignored by the epoch-synchronous backend).
 FiniteSystemConfig scale_config(std::size_t m, double lambda_total, double dt, int horizon,
                                 ClientModel model, std::uint64_t n) {
     FiniteSystemConfig config;
@@ -56,6 +61,7 @@ FiniteSystemConfig scale_config(std::size_t m, double lambda_total, double dt, i
     config.num_queues = m;
     config.num_clients = n;
     config.client_model = model;
+    config.threads = 1;
     return config;
 }
 
@@ -154,6 +160,7 @@ int main(int argc, char** argv) {
     char label[96];
 
     // --- 1. M-sweep at fixed total load, both backends --------------------
+    // Only the epoch-synchronous side records rows; the DES column is printed.
     std::printf("M-sweep: lambda_total=%.0f, dt=%.1f, %d epochs, JSQ(2), InfiniteClients\n",
                 lambda_total, dt, horizon);
     Table table({"M", "finite (s/episode)", "des (s/episode)", "speedup", "drops/queue des"});
@@ -186,13 +193,7 @@ int main(int argc, char** argv) {
             }
         }
 
-        const EpisodeRun des = run_one_episode<DesSystem>(config, jsq, seed);
-        std::snprintf(label, sizeof(label), "des_episode_M=%zu", m);
-        timings.record(label, des.seconds);
-        // Throughput rows (events/sec; "event_rate" rows are bigger-is-better
-        // in check-bench-regression.sh): the quantity the calendar FEL buys.
-        std::snprintf(label, sizeof(label), "event_rate_des_M=%zu", m);
-        timings.record(label, des.events_per_second());
+        const EpisodeRun des = run_one_episode<ShardedDesSystem>(config, jsq, seed);
         if (des.seconds <= budget) {
             max_m_des = m;
         }
@@ -228,16 +229,18 @@ int main(int argc, char** argv) {
     {
         // Same workload, same seed, results bit-identical by the FEL
         // determinism contract — only the event-engine data structure
-        // changes. M = 10^5 pending events is deep enough that the heap's
-        // O(log n) sift shows; the "speedup" row is bigger-is-better in CI.
+        // changes. One shard puts all M = 10^5 departure slots on a single
+        // event list, deep enough that the heap's O(log n) sift shows; the
+        // "speedup" row is bigger-is-better in CI.
         const std::size_t m = 100000;
         FiniteSystemConfig config =
             scale_config(m, lambda_total, dt, horizon, ClientModel::InfiniteClients, 10 * m);
+        config.shards = 1;
         config.fel = FelKind::Heap;
-        const EpisodeRun heap = run_one_episode<DesSystem>(config, jsq, seed);
+        const EpisodeRun heap = run_one_episode<ShardedDesSystem>(config, jsq, seed);
         timings.record("des_episode_fel=heap_M=100000", heap.seconds);
         config.fel = FelKind::Calendar;
-        const EpisodeRun calendar = run_one_episode<DesSystem>(config, jsq, seed);
+        const EpisodeRun calendar = run_one_episode<ShardedDesSystem>(config, jsq, seed);
         timings.record("des_episode_fel=calendar_M=100000", calendar.seconds);
         const double fel_speedup =
             calendar.seconds > 0.0 ? heap.seconds / calendar.seconds : 0.0;
@@ -257,10 +260,7 @@ int main(int argc, char** argv) {
                                       std::uint64_t{1000000}}) {
             const FiniteSystemConfig config =
                 scale_config(m, lambda_total, dt, horizon, ClientModel::Aggregated, n);
-            const EpisodeRun des = run_one_episode<DesSystem>(config, jsq, seed);
-            std::snprintf(label, sizeof(label), "des_episode_M=%zu_N=%llu", m,
-                          static_cast<unsigned long long>(n));
-            timings.record(label, des.seconds);
+            const EpisodeRun des = run_one_episode<ShardedDesSystem>(config, jsq, seed);
             std::printf("  N=%-8llu %.3f s/episode, drops/queue %.4f\n",
                         static_cast<unsigned long long>(n), des.seconds, des.drops_per_queue);
         }
@@ -272,7 +272,8 @@ int main(int argc, char** argv) {
         FiniteSystemConfig config = scale_config(10000, lambda_total, dt, horizon,
                                                  ClientModel::InfiniteClients, 1000000);
         config.track_sojourn = true;
-        DesSystem system(config);
+        config.shards = 1;
+        ShardedDesSystem system(config);
         Rng rng(seed);
         system.reset(rng);
         const trace::Stopwatch watch;
@@ -294,21 +295,21 @@ int main(int argc, char** argv) {
     // --- 4. Sharded backend: thread scaling on the large-n configuration --
     {
         // The acceptance configuration: the registry's `large-n` workload
-        // (M = 10^4 queues, N = 10^6 Aggregated clients, dt = 5) — the
-        // single-threaded unsharded DES is the baseline every sharded point
-        // is measured against.
+        // (M = 10^4 queues, N = 10^6 Aggregated clients, dt = 5) — the same
+        // K shards on one thread are the baseline every point is measured
+        // against.
         FiniteSystemConfig config = scenario_or_die("large-n").experiment.finite_system();
         const auto shards = static_cast<std::size_t>(cli.get_int("shards"));
         std::printf("sharded scaling at M=%zu, N=%llu (large-n config), K=%zu shards:\n",
                     config.num_queues, static_cast<unsigned long long>(config.num_clients),
                     shards);
-        const EpisodeRun baseline = run_one_episode<DesSystem>(config, jsq, seed);
-        timings.record("sharded_baseline_des_episode", baseline.seconds);
-        std::printf("  unsharded DES baseline (1 thread): %.3f s/episode, drops/queue %.4f\n",
+        config.shards = shards;
+        config.threads = 1;
+        const EpisodeRun baseline = run_sharded_episode(config, jsq, seed).episode;
+        std::printf("  1-thread baseline: %.3f s/episode, drops/queue %.4f\n",
                     baseline.seconds, baseline.drops_per_queue);
 
-        config.shards = shards;
-        Table scaling({"threads", "sharded (s/episode)", "speedup vs DES", "serial frac",
+        Table scaling({"threads", "sharded (s/episode)", "speedup vs T=1", "serial frac",
                        "drops/queue"});
         for (const std::int64_t t : cli.get_int_list("threads")) {
             config.threads = static_cast<std::size_t>(t);
@@ -368,6 +369,7 @@ int main(int argc, char** argv) {
         const int fleet_horizon = 40;
         FiniteSystemConfig config = scale_config(m, lambda_total, dt, fleet_horizon,
                                                  ClientModel::InfiniteClients, 0);
+        config.threads = 0; // all cores: the M = 10^7 rows time the parallel phase too
         for (const std::size_t k : {std::size_t{8}, std::size_t{32}}) {
             config.shards = k;
             const ShardedRun run = run_sharded_episode(config, jsq, seed);

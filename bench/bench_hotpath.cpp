@@ -248,7 +248,6 @@ int main(int argc, char** argv) {
                         1e3 * off, 1e3 * on, 1e2 * fraction);
         };
         time_backend.operator()<FiniteSystem>("finite");
-        time_backend.operator()<DesSystem>("des");
         time_backend.operator()<ShardedDesSystem>("sharded");
     }
 

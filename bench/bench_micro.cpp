@@ -86,7 +86,7 @@ void BM_FelHoldCalendar(benchmark::State& state) {
 }
 BENCHMARK(BM_FelHoldCalendar)->Arg(100)->Arg(10000)->Arg(100000)->Arg(1000000);
 
-// The fused fast path both DES backends actually run: peek the front event,
+// The fused fast path the DES backend actually runs: peek the front event,
 // then relocate it in place (one sift / one bucket relocation) instead of a
 // pop followed by a fresh insert.
 void BM_FelHoldHeapFused(benchmark::State& state) {

@@ -44,6 +44,16 @@ std::unique_ptr<TelemetrySession> make_telemetry(const CliParser& cli) {
     return std::make_unique<TelemetrySession>(config);
 }
 
+/// --episodes as a count; below 1 it throws std::invalid_argument, which
+/// main reports as a usage error (exit 2).
+std::size_t episode_count(const CliParser& cli) {
+    const auto episodes = cli.get_int("episodes");
+    if (episodes < 1) {
+        throw std::invalid_argument("--episodes must be >= 1");
+    }
+    return static_cast<std::size_t>(episodes);
+}
+
 int run_train_ppo(const CliParser& cli, const ExperimentConfig& experiment,
                   const MfcConfig& config) {
     rl::PpoConfig ppo; // defaults ARE Table 2 (cross-checked by bench_table2)
@@ -136,6 +146,7 @@ int run_eval(const CliParser& cli) {
         return 2;
     }
     ExperimentConfig experiment = scenario->experiment;
+    const std::size_t episodes = episode_count(cli);
     // The --dt default (5) applies to the table1 baseline; any other
     // scenario keeps its own delay unless --dt is given explicitly. Keyed on
     // the resolved name, so `--scenario table1` behaves exactly like the
@@ -144,6 +155,9 @@ int run_eval(const CliParser& cli) {
         experiment.dt = cli.get_double("dt");
     }
     if (cli.provided("m")) {
+        if (cli.get_int("m") < 1) {
+            throw std::invalid_argument("--m must be >= 1");
+        }
         experiment.num_queues = static_cast<std::size_t>(cli.get_int("m"));
         experiment.num_clients = experiment.num_queues * experiment.num_queues;
     }
@@ -160,55 +174,50 @@ int run_eval(const CliParser& cli) {
     const auto threads = static_cast<std::size_t>(cli.get_int("threads"));
     experiment.threads = threads;
     // Simulator backend: the scenario's choice unless --backend overrides
-    // (the large-n scenario defaults to the event-driven engine).
+    // (the large-n scenario defaults to the event-driven engine). Malformed
+    // values throw std::invalid_argument, reported by main as exit 2.
     SimBackend backend = experiment.backend;
-    try {
-        if (cli.provided("backend")) {
-            backend = parse_backend(cli.get("backend"));
-        }
-        // Future-event-list implementation for the DES backends; both kinds
-        // produce bit-identical episodes, so this is a pure speed knob.
-        if (cli.provided("fel")) {
-            experiment.fel = parse_fel_kind(cli.get("fel"));
-        }
-        // Routing discipline and service-time law: scenario values unless
-        // overridden (the staleness-sweep / heavy-tail scenarios preset them).
-        if (cli.provided("router")) {
-            experiment.router.kind = parse_router(cli.get("router"));
-        }
-        if (cli.provided("router-d")) {
-            experiment.router.d = cli.get_int("router-d");
-        }
-        if (cli.provided("stale-period")) {
-            experiment.router.stale_period = cli.get_double("stale-period");
-        }
-        if (cli.provided("service-dist")) {
-            experiment.service.kind = parse_service_dist(cli.get("service-dist"));
-        }
-        if (cli.provided("pareto-alpha")) {
-            experiment.service.pareto_alpha = cli.get_double("pareto-alpha");
-        }
-        if (cli.provided("pareto-cap")) {
-            experiment.service.pareto_cap = cli.get_double("pareto-cap");
-        }
-        if (cli.provided("hyper-scv")) {
-            experiment.service.hyper_scv = cli.get_double("hyper-scv");
-        }
-    } catch (const std::invalid_argument& error) {
-        std::fprintf(stderr, "error: %s\n", error.what());
-        return 2;
+    if (cli.provided("backend")) {
+        backend = parse_backend(cli.get("backend"));
+    }
+    // Future-event-list implementation for the event-driven backend; both kinds
+    // produce bit-identical episodes, so this is a pure speed knob.
+    if (cli.provided("fel")) {
+        experiment.fel = parse_fel_kind(cli.get("fel"));
+    }
+    // Routing discipline and service-time law: scenario values unless
+    // overridden (the staleness-sweep / heavy-tail scenarios preset them).
+    if (cli.provided("router")) {
+        experiment.router.kind = parse_router(cli.get("router"));
+    }
+    if (cli.provided("router-d")) {
+        experiment.router.d = cli.get_int("router-d");
+    }
+    if (cli.provided("stale-period")) {
+        experiment.router.stale_period = cli.get_double("stale-period");
+    }
+    if (cli.provided("service-dist")) {
+        experiment.service.kind = parse_service_dist(cli.get("service-dist"));
+    }
+    if (cli.provided("pareto-alpha")) {
+        experiment.service.pareto_alpha = cli.get_double("pareto-alpha");
+    }
+    if (cli.provided("pareto-cap")) {
+        experiment.service.pareto_cap = cli.get_double("pareto-cap");
+    }
+    if (cli.provided("hyper-scv")) {
+        experiment.service.hyper_scv = cli.get_double("hyper-scv");
     }
     const TupleSpace space(experiment.queue.num_states(), experiment.d);
-    const std::size_t episodes = static_cast<std::size_t>(cli.get_int("episodes"));
 
     std::optional<TabularPolicy> learned;
     if (!cli.get("policy").empty()) {
         learned = TabularPolicy::from_archive(Archive::load(cli.get("policy")));
     }
 
-    // Only the event-driven backends see individual jobs, so only they can
+    // Only the event-driven backend sees individual jobs, so only it can
     // report sojourn-time percentiles; the finite backend leaves them blank.
-    const bool des = backend != SimBackend::Finite;
+    const bool des = backend == SimBackend::ShardedDes;
     // One session shared by every evaluation below: replication 0 of each
     // evaluated policy appends its epoch rows to the same series file.
     const std::unique_ptr<TelemetrySession> telemetry = make_telemetry(cli);
@@ -255,6 +264,7 @@ int run_eval(const CliParser& cli) {
 }
 
 int run_sweep(const CliParser& cli) {
+    const std::size_t episodes = episode_count(cli);
     Table table({"dt", "JSQ(2)", "RND", "best Boltzmann", "best beta"});
     for (const double dt : cli.get_double_list("dts")) {
         ExperimentConfig experiment;
@@ -263,7 +273,6 @@ int run_sweep(const CliParser& cli) {
         const TupleSpace space(config.queue.num_states(), config.d);
         const std::vector<double> beta_grid{0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 1e6};
         const double beta = best_boltzmann_beta(config, beta_grid, 6, cli.get_int("seed"));
-        const std::size_t episodes = static_cast<std::size_t>(cli.get_int("episodes"));
         const EvaluationResult jsq =
             evaluate_mfc(config, make_jsq_policy(space), episodes, cli.get_int("seed"));
         const EvaluationResult rnd =
@@ -283,6 +292,7 @@ int run_sweep(const CliParser& cli) {
 }
 
 int run_dp(const CliParser& cli) {
+    const std::size_t episodes = episode_count(cli);
     MfcConfig config;
     config.dt = cli.get_double("dt");
     config.horizon = static_cast<int>(cli.get_int("horizon"));
@@ -292,7 +302,6 @@ int run_dp(const CliParser& cli) {
     std::printf("DP solve: %zu states x %zu actions, %zu sweeps, residual %.2e\n",
                 stats.states, stats.actions, stats.sweeps, stats.final_residual);
     const TupleSpace space(config.queue.num_states(), config.d);
-    const std::size_t episodes = static_cast<std::size_t>(cli.get_int("episodes"));
     const EvaluationResult dp_eval = evaluate_mfc(config, policy, episodes, cli.get_int("seed"));
     const EvaluationResult jsq =
         evaluate_mfc(config, make_jsq_policy(space), episodes, cli.get_int("seed"));
@@ -312,9 +321,9 @@ int main(int argc, char** argv) {
              "Named scenario from the registry (see --mode scenarios) used as the "
              "eval-mode baseline; other flags override its values");
     cli.flag("backend", "finite",
-             "Finite-system simulator for eval mode: 'finite' (epoch-synchronous), "
-             "'des' (event-driven, adds sojourn percentiles), or 'sharded-des' "
-             "(epoch-parallel event-driven); default = scenario's backend");
+             "Finite-system simulator for eval mode: 'finite' (epoch-synchronous) or "
+             "'sharded-des' (event-driven over K queue shards, adds sojourn "
+             "percentiles; aliases 'des', 'sharded'); default = scenario's backend");
     cli.flag_int("threads", 0,
                  "Worker threads for replications / sharded epochs (0 = all cores)");
     cli.flag("metrics-out", "",
@@ -339,7 +348,7 @@ int main(int argc, char** argv) {
     cli.flag_int("shards", 0,
                  "Queue shards K for the sharded-des backend (0 = scenario's, or min(8, M))");
     cli.flag("fel", "calendar",
-             "Future event list for the des/sharded-des backends: calendar "
+             "Future event list for the sharded-des backend: calendar "
              "(amortized O(1) buckets, default) or heap (binary heap); "
              "bit-identical results either way");
     cli.flag("router", "policy",
@@ -374,22 +383,30 @@ int main(int argc, char** argv) {
         return cli.exit_code();
     }
     const std::string mode = cli.get("mode");
-    if (mode == "train") {
-        return run_train(cli);
-    }
-    if (mode == "eval") {
-        return run_eval(cli);
-    }
-    if (mode == "sweep") {
-        return run_sweep(cli);
-    }
-    if (mode == "dp") {
-        return run_dp(cli);
+    // Invalid values that pass the parser (--m 0, --dt -1, --dt nan, ...) are
+    // rejected by the library constructors with std::invalid_argument; report
+    // them like a malformed flag instead of aborting.
+    try {
+        if (mode == "train") {
+            return run_train(cli);
+        }
+        if (mode == "eval") {
+            return run_eval(cli);
+        }
+        if (mode == "sweep") {
+            return run_sweep(cli);
+        }
+        if (mode == "dp") {
+            return run_dp(cli);
+        }
+    } catch (const std::invalid_argument& error) {
+        std::fprintf(stderr, "error: %s\n", error.what());
+        return 2;
     }
     if (mode == "scenarios") {
         std::printf("Registered scenarios:\n%s", scenario_list_text().c_str());
         return 0;
     }
-    std::fprintf(stderr, "unknown mode '%s'\n%s", mode.c_str(), cli.usage().c_str());
-    return 1;
+    std::fprintf(stderr, "error: unknown --mode '%s'\n%s", mode.c_str(), cli.usage().c_str());
+    return 2;
 }

@@ -7,29 +7,19 @@
 namespace mflb {
 
 std::string_view backend_name(SimBackend backend) noexcept {
-    switch (backend) {
-    case SimBackend::Des:
-        return "des";
-    case SimBackend::ShardedDes:
-        return "sharded-des";
-    case SimBackend::Finite:
-        break;
-    }
-    return "finite";
+    return backend == SimBackend::ShardedDes ? "sharded-des" : "finite";
 }
 
 SimBackend parse_backend(std::string_view name) {
     if (name == "finite") {
         return SimBackend::Finite;
     }
-    if (name == "des") {
-        return SimBackend::Des;
-    }
-    if (name == "sharded-des" || name == "sharded") {
+    if (name == "sharded-des" || name == "sharded" || name == "des") {
         return SimBackend::ShardedDes;
     }
     throw std::invalid_argument("unknown backend '" + std::string(name) +
-                                "'; expected 'finite', 'des', or 'sharded-des'");
+                                "'; expected 'finite' or 'sharded-des' (aliases 'sharded', "
+                                "'des')");
 }
 
 int ExperimentConfig::eval_horizon() const noexcept {

@@ -18,21 +18,19 @@ namespace mflb {
 
 /// Which finite-system simulator realizes the model (same statistics, very
 /// different cost profiles — see docs/ARCHITECTURE.md "Event-driven
-/// backend" / "Sharded event-driven backend"):
+/// backend"):
 ///  - `Finite`     — epoch-synchronous `FiniteSystem`: per-queue Gillespie
 ///    loop every Δt; cost O(M) per epoch even when queues are idle.
-///  - `Des`        — event-driven `DesSystem`: future-event-list simulation;
-///    cost proportional to traffic, reports per-job sojourn percentiles.
-///  - `ShardedDes` — `ShardedDesSystem`: the DES model partitioned into K
-///    queue shards running lock-free in parallel between decision epochs;
-///    deterministic for fixed (seed, K) regardless of thread count.
+///  - `ShardedDes` — event-driven `ShardedDesSystem`: future-event-list
+///    simulation over K queue shards running lock-free in parallel between
+///    decision epochs; cost proportional to traffic, reports per-job sojourn
+///    percentiles, deterministic for fixed (seed, K) regardless of threads.
 enum class SimBackend {
     Finite,
-    Des,
     ShardedDes,
 };
 
-/// "finite" / "des" / "sharded-des".
+/// "finite" / "sharded-des".
 std::string_view backend_name(SimBackend backend) noexcept;
 /// Inverse of backend_name; throws std::invalid_argument naming the options.
 SimBackend parse_backend(std::string_view name);
@@ -62,9 +60,9 @@ struct ExperimentConfig {
     /// on this; the `--backend` CLI/bench flag overrides it).
     SimBackend backend = SimBackend::Finite;
     /// Queue shards K for the sharded-des backend (0 = min(8, M)); part of
-    /// the result-determining (seed, K) pair. Ignored by the other backends.
+    /// the result-determining (seed, K) pair. Ignored by the finite backend.
     std::size_t shards = 0;
-    /// Future-event-list implementation for the DES backends (heap or
+    /// Future-event-list implementation for the sharded-des backend (heap or
     /// calendar; both yield bit-identical episodes — the `--fel` CLI/bench
     /// flag overrides it). Ignored by the finite backend.
     FelKind fel = FelKind::Calendar;

@@ -65,22 +65,17 @@ EvaluationResult evaluate_finite(const FiniteSystemConfig& config, const UpperLe
     return result;
 }
 
-namespace {
-
-/// Shared replication harness of the two event-driven backends: identical
-/// statistics pipeline, different simulator type.
-template <class System>
-EvaluationResult evaluate_event_driven(const FiniteSystemConfig& config,
-                                       const UpperLevelPolicy& policy, std::size_t episodes,
-                                       std::uint64_t seed, std::size_t threads,
-                                       SojournSummary* sojourn) {
+EvaluationResult evaluate_sharded_des(const FiniteSystemConfig& config,
+                                      const UpperLevelPolicy& policy, std::size_t episodes,
+                                      std::uint64_t seed, std::size_t threads,
+                                      SojournSummary* sojourn) {
     FiniteSystemConfig des_config = config;
     if (sojourn != nullptr) {
         des_config.track_sojourn = true;
     }
     const std::vector<DesEpisodeStats> stats =
         run_replications(episodes, seed, threads, [&](std::size_t i, Rng& rng) {
-            System system(replication_config(des_config, i));
+            ShardedDesSystem system(replication_config(des_config, i));
             system.reset(rng);
             return system.run_episode(policy, rng);
         });
@@ -114,33 +109,12 @@ EvaluationResult evaluate_event_driven(const FiniteSystemConfig& config,
     return result;
 }
 
-} // namespace
-
-EvaluationResult evaluate_des(const FiniteSystemConfig& config, const UpperLevelPolicy& policy,
-                              std::size_t episodes, std::uint64_t seed, std::size_t threads,
-                              SojournSummary* sojourn) {
-    return evaluate_event_driven<DesSystem>(config, policy, episodes, seed, threads, sojourn);
-}
-
-EvaluationResult evaluate_sharded_des(const FiniteSystemConfig& config,
-                                      const UpperLevelPolicy& policy, std::size_t episodes,
-                                      std::uint64_t seed, std::size_t threads,
-                                      SojournSummary* sojourn) {
-    return evaluate_event_driven<ShardedDesSystem>(config, policy, episodes, seed, threads,
-                                                   sojourn);
-}
-
 EvaluationResult evaluate_backend(SimBackend backend, const FiniteSystemConfig& config,
                                   const UpperLevelPolicy& policy, std::size_t episodes,
                                   std::uint64_t seed, std::size_t threads,
                                   SojournSummary* sojourn) {
-    switch (backend) {
-    case SimBackend::Des:
-        return evaluate_des(config, policy, episodes, seed, threads, sojourn);
-    case SimBackend::ShardedDes:
+    if (backend == SimBackend::ShardedDes) {
         return evaluate_sharded_des(config, policy, episodes, seed, threads, sojourn);
-    case SimBackend::Finite:
-        break;
     }
     if (sojourn != nullptr) {
         *sojourn = SojournSummary{};

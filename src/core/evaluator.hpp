@@ -7,7 +7,6 @@
 #pragma once
 
 #include "core/config.hpp"
-#include "des/des_system.hpp"
 #include "des/sharded_des_system.hpp"
 #include "field/mfc_env.hpp"
 #include "queueing/finite_system.hpp"
@@ -66,28 +65,23 @@ struct SojournSummary {
     ConfidenceInterval p99;
 };
 
-/// Evaluates `policy` on the *event-driven* backend (`DesSystem`) — same
-/// model and statistics as evaluate_finite, different simulator. When
-/// `sojourn` is non-null, per-job sojourn tracking is enabled (regardless of
-/// config.track_sojourn) and the percentile summary is filled in.
-EvaluationResult evaluate_des(const FiniteSystemConfig& config, const UpperLevelPolicy& policy,
-                              std::size_t episodes, std::uint64_t seed, std::size_t threads = 0,
-                              SojournSummary* sojourn = nullptr);
-
-/// Same contract on the *sharded* event-driven backend (`ShardedDesSystem`):
-/// each replication runs its K shards epoch-parallel (config.threads), while
+/// Evaluates `policy` on the event-driven backend (`ShardedDesSystem`) —
+/// same model and statistics as evaluate_finite, different simulator. Each
+/// replication runs its K shards epoch-parallel (config.threads), while
 /// `threads` still fans out the replications themselves — the nested-use
 /// guard of `parallel_for` serializes the inner level when both are active.
-/// Per-episode sojourn percentiles are the cross-shard `P2Quantile` merges.
+/// When `sojourn` is non-null, per-job sojourn tracking is enabled
+/// (regardless of config.track_sojourn) and the summary of the per-episode
+/// cross-shard `P2Quantile` merges is filled in.
 EvaluationResult evaluate_sharded_des(const FiniteSystemConfig& config,
                                       const UpperLevelPolicy& policy, std::size_t episodes,
                                       std::uint64_t seed, std::size_t threads = 0,
                                       SojournSummary* sojourn = nullptr);
 
-/// Dispatches to evaluate_finite / evaluate_des / evaluate_sharded_des — the
-/// `--backend` switch of mflb_cli and the figure benches. `sojourn` is
-/// forwarded to the event-driven backends (and zero-filled by the finite
-/// one, which cannot observe individual jobs).
+/// Dispatches to evaluate_finite / evaluate_sharded_des — the `--backend`
+/// switch of mflb_cli and the figure benches. `sojourn` is forwarded to the
+/// event-driven backend (and zero-filled by the finite one, which cannot
+/// observe individual jobs).
 EvaluationResult evaluate_backend(SimBackend backend, const FiniteSystemConfig& config,
                                   const UpperLevelPolicy& policy, std::size_t episodes,
                                   std::uint64_t seed, std::size_t threads = 0,

@@ -27,7 +27,6 @@
 #include "core/scenarios.hpp"
 #include "core/trainers.hpp"
 #include "des/calendar_queue.hpp"
-#include "des/des_system.hpp"
 #include "des/event_queue.hpp"
 #include "des/fel.hpp"
 #include "des/sharded_des_system.hpp"

@@ -78,26 +78,16 @@ Scenario make_partial_info() {
 Scenario make_large_n() {
     Scenario s;
     s.name = "large-n";
-    s.summary = "Event-driven scale: M=10^4 queues, N=10^6 clients on the DES backend";
+    s.summary = "Event-driven scale: M=10^4 queues, N=10^6 clients on the sharded DES (K=8)";
     s.experiment.num_queues = 10000;
     s.experiment.num_clients = 1000000;
     s.experiment.dt = 5.0;
     // Keep full episodes tractable at this size: 20 decision epochs.
     s.experiment.eval_total_time = 100.0;
-    s.experiment.backend = SimBackend::Des;
+    s.experiment.backend = SimBackend::ShardedDes;
     // Calendar FEL (the default, pinned here for clarity): at M=10^4 the
     // event loop is exactly the regime where O(1) buckets beat the heap.
     s.experiment.fel = FelKind::Calendar;
-    return s;
-}
-
-Scenario make_large_n_sharded() {
-    Scenario s;
-    s.name = "large-n-sharded";
-    s.summary = "large-n on the sharded DES: K=8 queue shards, epoch-barrier parallel";
-    s.experiment = make_large_n().experiment;
-    s.experiment.backend = SimBackend::ShardedDes;
-    s.experiment.shards = 8;
     return s;
 }
 
@@ -107,7 +97,7 @@ Scenario make_staleness_sweep() {
     s.summary = "Classical-baseline staleness cell: SQ(stale) vs JSQ at dt=2; sweep "
                 "--stale-period (router defaults to sq-stale, 10 time units)";
     s.experiment.dt = 2.0;
-    s.experiment.backend = SimBackend::Des;
+    s.experiment.backend = SimBackend::ShardedDes;
     s.experiment.router.kind = RouterKind::SqStale;
     s.experiment.router.stale_period = 10.0;
     return s;
@@ -119,7 +109,7 @@ Scenario make_heavy_tail() {
     s.summary = "Bounded-Pareto service (alpha=1.5, cap=10^3, mean 1/alpha): stresses the "
                 "exponential-service assumption; sweep --pareto-alpha";
     s.experiment.dt = 2.0;
-    s.experiment.backend = SimBackend::Des;
+    s.experiment.backend = SimBackend::ShardedDes;
     s.experiment.service.kind = ServiceDistKind::BoundedPareto;
     s.experiment.service.pareto_alpha = 1.5;
     s.experiment.service.pareto_cap = 1000.0;
@@ -130,9 +120,9 @@ Scenario make_hetero_speeds() {
     Scenario s;
     s.name = "hetero-speeds";
     s.summary = "Two-class server speeds (half 0.5x, half 1.5x) on the event-driven "
-                "backends: speed-blind classical routing vs learned MFC";
+                "backend: speed-blind classical routing vs learned MFC";
     s.experiment.dt = 2.0;
-    s.experiment.backend = SimBackend::Des;
+    s.experiment.backend = SimBackend::ShardedDes;
     s.experiment.server_speeds.assign(s.experiment.num_queues, 0.5);
     for (std::size_t j = s.experiment.num_queues / 2; j < s.experiment.num_queues; ++j) {
         s.experiment.server_speeds[j] = 1.5;
@@ -149,7 +139,6 @@ std::vector<Scenario> build_registry() {
     registry.push_back(make_memory());
     registry.push_back(make_partial_info());
     registry.push_back(make_large_n());
-    registry.push_back(make_large_n_sharded());
     registry.push_back(make_staleness_sweep());
     registry.push_back(make_heavy_tail());
     registry.push_back(make_hetero_speeds());

@@ -11,7 +11,7 @@
 /// an approximation): buckets partition the time axis and are kept sorted,
 /// so the pop sequence is *exactly* the `(time, id)` total order of the
 /// pending set — bit-identical to `EventQueue`, hence every downstream RNG
-/// draw of the DES backends is unchanged. Pinned by
+/// draw of the event-driven backend is unchanged. Pinned by
 /// tests/test_calendar_queue.cpp (differential fuzz + golden episodes).
 ///
 /// Complexity: `schedule` inserts into one bucket (O(1) expected at ~1
@@ -32,7 +32,7 @@
 /// Tuning: the width starts at 1 / rate_hint (the configured peak event
 /// rate of the DES: aggregated arrivals plus matched departures) and the
 /// day array at a small power of two. `retune()` — called by the DES
-/// backends only at the epoch barrier — grows the day array against the
+/// backend only at the epoch barrier — grows the day array against the
 /// pending-event high-water mark and nudges the width by powers of two
 /// when the observed probe/insert-step counters show buckets too fine or
 /// too coarse. Both decisions are pure functions of the event history, so

@@ -1,5 +1,5 @@
 /// \file fel.hpp
-/// The future-event-list seam of the event-driven backends: one facade over
+/// The future-event-list seam of the event-driven backend: one facade over
 /// the indexed binary heap (event_queue.hpp) and the calendar queue
 /// (calendar_queue.hpp), selected by `FelKind` on `FiniteSystemConfig`.
 ///

@@ -134,10 +134,8 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
         width = next;
     }
     // The routing table serves both the Aggregated client counts and the
-    // InfiniteClients per-job law (unlike the unsharded DES, which realizes
-    // InfiniteClients by per-job d-sampling, the sharded backend thins the
-    // identical law per shard). The class sampler reads the |Z|-sized
-    // scaled_sums_ instead of a per-queue law.
+    // InfiniteClients per-job law (thinned per shard). The class sampler
+    // reads the |Z|-sized scaled_sums_ instead of a per-queue law.
     if (config_.client_model != ClientModel::PerClient) {
         hist_.assign(num_z, 0.0);
         g_.assign(d * num_z, 0.0);
@@ -387,9 +385,10 @@ void ShardedDesSystem::begin_epoch(const DecisionRule& h, Rng& rng) {
     }
     case ClientModel::InfiniteClients: {
         // The per-job destination law (1/M) Σ_k g(k, z_j) is exactly the law
-        // realized by the unsharded DES's per-job d-sampling on the frozen
-        // snapshot; thinning it per shard is therefore exact. No router is
-        // configured here, so the class sampler is active.
+        // of a job that samples d queues uniformly and applies the rule to
+        // their frozen snapshot states; thinning it per shard is therefore
+        // exact. No router is configured here, so the class sampler is
+        // active.
         prescale_destination_sums(destination_sums(h), 1.0 / static_cast<double>(m),
                                   scaled_sums_);
         const double total = class_shard_masses();

@@ -4,6 +4,14 @@
 /// independent event loops in parallel *between* decision epochs and
 /// synchronize only at the epoch barrier.
 ///
+/// Why event-driven: the epoch-synchronous `FiniteSystem` pays O(M) RNG and
+/// kernel work per decision epoch even when most queues are idle, because
+/// every queue runs its own exponential-clock loop each Δt. Here each shard
+/// pays per *event* (arrival / departure) on its own future event list, so
+/// simulation cost follows the actual traffic, and because every job is an
+/// individual event the backend reports exact per-job sojourn times and
+/// their streaming p50/p95/p99. K = 1 is the plain single-FEL simulator.
+///
 /// Why this is exact and not an approximation: the paper's whole premise is
 /// that routing decisions are made on Δt-stale information — within a
 /// decision epoch every arrival routes on the snapshot frozen at the epoch
@@ -62,10 +70,9 @@
 /// immaterial), and the floating-point sums keep their fixed serial shard
 /// order. tests/test_sharded_des.cpp pins bit-identical episodes across
 /// 1/2/8 threads for all three client models, and CI overlap against
-/// `DesSystem` (which is itself pinned to `FiniteSystem`).
+/// `FiniteSystem` on registry scenarios.
 #pragma once
 
-#include "des/des_system.hpp"
 #include "des/fel.hpp"
 #include "queueing/finite_system.hpp"
 #include "queueing/sojourn.hpp"
@@ -82,8 +89,17 @@
 
 namespace mflb {
 
+/// Episode summary of the event-driven simulator: the shared episode stats
+/// plus the streaming sojourn-time percentiles only a per-job simulation can
+/// report (0 unless `track_sojourn` is set and jobs completed).
+struct DesEpisodeStats : EpisodeStats {
+    double sojourn_p50 = 0.0;
+    double sojourn_p95 = 0.0;
+    double sojourn_p99 = 0.0;
+};
+
 /// Sharded event-driven backend; accepts the same `FiniteSystemConfig` as
-/// `FiniteSystem`/`DesSystem` plus its `shards` (K, 0 = min(8, M)) and
+/// `FiniteSystem` plus its `shards` (K, 0 = min(8, M)) and
 /// `threads` (parallel workers, 0 = all cores; never affects results).
 class ShardedDesSystem : public SystemBase {
 public:
@@ -299,8 +315,10 @@ private:
     void handle_arrival(Shard& shard, double t);
     void handle_departure(Shard& shard, std::size_t local_id, double t);
 
-    /// One service time at queue j from the shard's own stream (see
-    /// DesSystem::service_time; identical exponential-homogeneous draws).
+    /// One service time at queue j from the shard's own stream:
+    /// `ServiceDistribution` sample divided by the queue's speed (1 when
+    /// homogeneous). Exponential + homogeneous is exactly an
+    /// `rng.exponential(α)` draw.
     double service_time(std::size_t j, Rng& rng) const noexcept {
         const double s = service_.sample(rng);
         return config_.server_speeds.empty() ? s : s / config_.server_speeds[j];

@@ -49,7 +49,7 @@ void compute_arrival_flow_into(std::span<const double> nu, const DecisionRule& h
 /// in state z is then a client's destination with probability
 /// (1/M) Σ_k g(k, z) — the exact per-client destination law used by both the
 /// epoch-synchronous `FiniteSystem` aggregation and the event-driven
-/// `DesSystem`. Allocation-free: `tuple` (d), `suffix` (d + 1) and `g`
+/// `ShardedDesSystem`. Allocation-free: `tuple` (d), `suffix` (d + 1) and `g`
 /// (d · |Z|) are caller-owned scratch/output buffers.
 void compute_routing_table_into(std::span<const double> hist, const DecisionRule& h,
                                 std::span<int> tuple, std::span<double> suffix,
@@ -82,7 +82,7 @@ void prescale_destination_sums(std::span<const double> sums, double inv_m,
 /// to the historical O(M·d) per-queue scan (same addition order per state),
 /// which survives as `compute_destination_law_reference_into` for the kernel
 /// agreement tests. Shared by the epoch-synchronous `FiniteSystem`
-/// aggregation and both event-driven backends. `tuple` (d), `suffix` (d + 1),
+/// aggregation and the event-driven backend. `tuple` (d), `suffix` (d + 1),
 /// `g` (d · |Z|) are caller-owned scratch; `queue_states` and `dest_p` have
 /// one entry per queue. Postcondition: `g`'s first row holds the folded
 /// per-state sums (callers treating `g` as per-coordinate rows must re-run
@@ -107,7 +107,7 @@ void compute_destination_law_reference_into(std::span<const int> queue_states,
 /// is incremented. `sampled`/`states` are d-length scratch; `counts` (one
 /// per queue) is zeroed first. The RNG draw order (d `uniform_below`, one
 /// `categorical`, per client) is part of the simulators' equivalence
-/// contract — all three backends share this one implementation so it
+/// contract — both backends share this one implementation so it
 /// cannot diverge.
 void sample_per_client_counts(std::span<const int> queue_states, const DecisionRule& h,
                               std::uint64_t num_clients, Rng& rng, std::span<int> sampled,

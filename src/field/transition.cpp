@@ -1,6 +1,7 @@
 #include "field/transition.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace mflb {
@@ -13,8 +14,10 @@ ExactDiscretization::ExactDiscretization(QueueParams params, double dt)
     if (params.service_rate <= 0.0) {
         throw std::invalid_argument("ExactDiscretization: service rate must be > 0");
     }
-    if (dt <= 0.0) {
-        throw std::invalid_argument("ExactDiscretization: dt must be > 0");
+    // NaN compares false, so test the positive form; +inf would make the
+    // uniformization series run forever.
+    if (!(dt > 0.0) || !std::isfinite(dt)) {
+        throw std::invalid_argument("ExactDiscretization: dt must be finite and > 0");
     }
     const auto n = static_cast<std::size_t>(params_.buffer + 2);
     ws_.q = Matrix(n, n);

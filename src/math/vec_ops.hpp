@@ -39,7 +39,7 @@ double vec_sum_reference(std::span<const double> xs) noexcept;
 double vec_sum_reference(std::span<const std::uint64_t> xs) noexcept;
 
 /// Inclusive prefix sum out[i] = Σ_{j<=i} in[j], the thinning/weight-law
-/// realization of the event-driven backends (binary search on `out` draws
+/// realization of the event-driven backend (binary search on `out` draws
 /// destinations). Segmented two-pass scan: four equal blocks are summed
 /// first, then scanned in parallel chains seeded with the block offsets;
 /// differs from the serial scan only by reassociation at block boundaries

@@ -140,8 +140,8 @@ std::vector<double> FiniteSystem::observed_distribution(Rng& rng) const {
 
 void FiniteSystem::destination_probabilities(const DecisionRule& h) const {
     // p(j) = (1/M) Σ_k g(k, z_j): the exact law of one client's destination
-    // given the snapshot, computed by the routing helper shared with both
-    // event-driven backends (identical arithmetic — goldens stay bit-exact).
+    // given the snapshot, computed by the routing helper shared with the
+    // event-driven backend (identical arithmetic — goldens stay bit-exact).
     fill_empirical(ws_.hist);
     compute_destination_law_into(queues_, ws_.hist, h, ws_.tuple, ws_.suffix, ws_.g,
                                  ws_.dest_p);
@@ -155,7 +155,7 @@ void FiniteSystem::compute_queue_rates_into(const DecisionRule& h, Rng& rng) con
     switch (config_.client_model) {
     case ClientModel::PerClient: {
         // Literal eq. (5): every client samples d queues and one choice —
-        // the draw loop shared with both event-driven backends.
+        // the draw loop shared with the event-driven backend.
         sample_per_client_counts(queues_, h, config_.num_clients, rng, ws_.sampled,
                                  ws_.states, ws_.counts);
         const double scale = m * lambda / static_cast<double>(config_.num_clients);

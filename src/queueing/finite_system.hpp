@@ -50,7 +50,7 @@ enum class ClientModel {
     InfiniteClients, ///< deterministic mean-field rates (N = ∞, M finite).
 };
 
-/// Which future event list powers the event-driven backends' hot loop. Both
+/// Which future event list powers the event-driven backend's hot loop. Both
 /// produce the *exact same* event order (and hence bit-identical episodes):
 /// the calendar queue keeps within-bucket events in (time, id) order, so the
 /// pop sequence matches the heap's tie-broken total order event for event.
@@ -80,12 +80,12 @@ struct FiniteSystemConfig {
     std::size_t histogram_sample_size = 0;
     /// Sharded event-driven backend (`ShardedDesSystem`) only: number of
     /// queue shards K (0 = min(8, num_queues)). Results are a function of
-    /// (seed, shards); the other backends ignore it.
+    /// (seed, shards); the epoch-synchronous backend ignores it.
     std::size_t shards = 0;
     /// Sharded backend only: worker threads for the epoch-parallel phase
     /// (0 = all hardware threads). Never affects results, only wall clock.
     std::size_t threads = 0;
-    /// Event-driven backends only: future-event-list implementation for the
+    /// Event-driven backend only: future-event-list implementation for the
     /// event loop. Both kinds pop events in the identical (time, id) order,
     /// so episodes are bit-identical; `Calendar` is amortized O(1) per event
     /// and the default, `Heap` is the O(log n) baseline (still fastest for

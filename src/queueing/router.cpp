@@ -102,7 +102,7 @@ void EpochRouter::epoch_weights(std::span<const int> snapshot, int epoch,
     case RouterKind::Random:
     case RouterKind::RoundRobin:
         // Round-robin's weight law is its equal-split mean behavior; the DES
-        // backends override per-arrival destinations with a cyclic cursor
+        // backend overrides per-arrival destinations with cyclic cursors
         // and use these weights only for shard-mass partitioning.
         std::fill(weights.begin(), weights.end(), 1.0);
         return;

@@ -9,22 +9,22 @@
 /// job-stream semantics each in their own exact way —
 ///  - `FiniteSystem` converts weights to frozen per-queue Poisson rates
 ///    M·λ_t·w_j/Σw for its per-queue epoch kernels;
-///  - `DesSystem` thins the aggregated Poisson arrival stream by binary
-///    search on the weight prefix sums (one destination draw per job);
 ///  - `ShardedDesSystem` partitions the weights into per-shard masses at the
-///    barrier (`partition_shard_mass`) and each shard thins its own stream,
-///    keeping the parallel phase lock-free.
-/// Because all three consume the identical law, the routers are
+///    barrier (`partition_shard_mass`) and each shard thins its own Poisson
+///    stream by binary search on its weight prefix sums (one destination
+///    draw per job), keeping the parallel phase lock-free.
+/// Because both consume the identical law, the routers are
 /// statistically equivalent across backends by construction
 /// (tests/test_router_equivalence.cpp). Classical routers operate at the
 /// job-stream level (the N → ∞ Poisson limit): `ClientModel` and
 /// `num_clients` are ignored, exactly like `ClientModel::InfiniteClients`.
 ///
 /// The exception is round-robin, which is *not* a weight law (its
-/// interarrival times per queue are Erlang, not exponential): the DES
-/// backends realize it with a cyclic arrival cursor (global on `DesSystem`,
-/// shard-local on `ShardedDesSystem` — statistically indistinguishable at
-/// the epoch scale since both cycles are near-deterministic), while the
+/// interarrival times per queue are Erlang, not exponential):
+/// `ShardedDesSystem` realizes it with cyclic arrival cursors (one global
+/// cycle at K = 1, shard-local cycles over shard-size-proportional streams
+/// at K > 1 — statistically indistinguishable at the epoch scale since both
+/// are near-deterministic), while the
 /// rate-based `FiniteSystem` can only represent its equal-split mean
 /// behavior (equal weights, documented caveat: drop/length statistics then
 /// coincide with `random`).
@@ -78,7 +78,7 @@ struct RouterSpec {
     double stale_period = 0.0;
 };
 
-/// The epoch-barrier weight-law engine shared by the three backends (see
+/// The epoch-barrier weight-law engine shared by both backends (see
 /// file comment). One instance per system; not thread-safe (the sharded
 /// backend calls it only in its serial barrier phase).
 class EpochRouter {

@@ -38,7 +38,7 @@ private:
 };
 
 /// The three streaming sojourn percentiles (p50/p95/p99) the event-driven
-/// backends report, behind a single `record` call — so the per-departure
+/// backend reports, behind a single `record` call — so the per-departure
 /// hot path pays one `track_sojourn` branch (the caller's) instead of
 /// three, and resets/merges stay one statement. Plain value type: fixed
 /// size, allocation-free, copyable (the counting-allocator tests cover the

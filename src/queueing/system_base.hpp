@@ -57,7 +57,7 @@ struct EpisodeStats {
 };
 
 /// H_t^M (eq. (2)) from an incrementally maintained per-state queue count —
-/// the O(|Z|) read-out shared by the event-driven backends.
+/// the O(|Z|) read-out of the event-driven backend.
 std::vector<double> histogram_from_counts(std::span<const int> state_counts,
                                           std::size_t num_queues);
 /// Allocation-free variant for the epoch hot paths: resizes `out` to |Z|
@@ -113,9 +113,9 @@ public:
     int horizon() const noexcept { return horizon_; }
     /// Absolute time of the current decision epoch's boundaries, computed
     /// from the epoch index (drift-free — never accumulated). These are the
-    /// barrier points of the epoch structure: both event-driven backends run
-    /// their event loops on [epoch_start_time, epoch_end_time) and the
-    /// sharded backend synchronizes its shards exactly here.
+    /// barrier points of the epoch structure: the event-driven backend runs
+    /// its shard event loops on [epoch_start_time, epoch_end_time) and
+    /// synchronizes its shards exactly here.
     double epoch_start_time() const noexcept { return dt_ * static_cast<double>(t_); }
     double epoch_end_time() const noexcept { return dt_ * (static_cast<double>(t_) + 1.0); }
     std::size_t num_queues() const noexcept { return queues_.size(); }
@@ -131,7 +131,8 @@ public:
 
 protected:
     /// Validates and stores the shared epoch parameters; queues start empty.
-    /// Throws std::invalid_argument on num_queues == 0, dt <= 0, horizon < 1.
+    /// Throws std::invalid_argument on num_queues == 0, dt not finite and
+    /// > 0 (NaN and +inf included), horizon < 1.
     SystemBase(ArrivalProcess arrivals, double dt, int horizon, std::size_t num_queues);
 
     /// Restarts the epoch clock and samples λ_0 (one RNG draw). Derived

@@ -75,7 +75,8 @@ TEST(BaselineRouterOracles, SingleQueueMatchesMm1bOnDes) {
                                   RouterKind::RoundRobin, RouterKind::JsqD,
                                   RouterKind::SqStale}) {
         const FiniteSystemConfig config = single_queue(kind, lambda, buffer, 4.0, 1000);
-        const Measured m = run_episodes<DesSystem>(config, 6, 20240 + static_cast<int>(kind));
+        const Measured m =
+            run_episodes<ShardedDesSystem>(config, 6, 20240 + static_cast<int>(kind));
         EXPECT_NEAR(m.blocking, p_block, 0.015) << router_name(kind);
         EXPECT_NEAR(m.mean_length, length, 0.12) << router_name(kind);
         EXPECT_NEAR(m.mean_sojourn / sojourn, 1.0, 0.05) << router_name(kind);
@@ -107,7 +108,7 @@ TEST(BaselineRouterOracles, Mg1SojournMatchesPollaczekKhinchine) {
         config.service.kind = kind;
         const ServiceDistribution law(config.service, config.queue.service_rate);
         const double oracle = mg1_mean_sojourn(lambda, law);
-        const Measured m = run_episodes<DesSystem>(config, 6, 5 + static_cast<int>(kind));
+        const Measured m = run_episodes<ShardedDesSystem>(config, 6, 5 + static_cast<int>(kind));
         EXPECT_LT(m.blocking, 1e-4) << service_dist_name(kind);
         EXPECT_NEAR(m.mean_sojourn / oracle, 1.0, 0.08) << service_dist_name(kind);
     }
@@ -117,8 +118,8 @@ TEST(BaselineRouterOracles, Mg1SojournMatchesPollaczekKhinchine) {
     det.service.kind = ServiceDistKind::Deterministic;
     FiniteSystemConfig h2 = det;
     h2.service.kind = ServiceDistKind::HyperExp;
-    const double t_det = run_episodes<DesSystem>(det, 3, 9).mean_sojourn;
-    const double t_h2 = run_episodes<DesSystem>(h2, 3, 9).mean_sojourn;
+    const double t_det = run_episodes<ShardedDesSystem>(det, 3, 9).mean_sojourn;
+    const double t_h2 = run_episodes<ShardedDesSystem>(h2, 3, 9).mean_sojourn;
     EXPECT_LT(t_det, t_h2);
 }
 

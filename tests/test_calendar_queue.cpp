@@ -4,11 +4,10 @@
 // indexed binary heap — via differential fuzzing against EventQueue,
 // bucket-boundary / far-future / retune edge cases, the heap's
 // pop_and_reschedule fast path, and full-episode bitwise equality of the two
-// FEL kinds on both event-driven backends (all client models, 1/2/8-thread
-// invariance with the calendar selected explicitly).
+// FEL kinds on the event-driven backend (one shard and four, all client
+// models, 1/2/8-thread invariance with the calendar selected explicitly).
 #include "des/calendar_queue.hpp"
 
-#include "des/des_system.hpp"
 #include "des/fel.hpp"
 #include "des/sharded_des_system.hpp"
 #include "policies/fixed.hpp"
@@ -352,7 +351,7 @@ TEST(FutureEventList, CountsOperationsOnBothKinds) {
 }
 
 // ---------------------------------------------------------------------------
-// Episode-level bitwise equality: heap vs calendar on both DES backends
+// Episode-level bitwise equality: heap vs calendar on the sharded DES
 // ---------------------------------------------------------------------------
 
 FiniteSystemConfig episode_config(ClientModel model, FelKind fel) {
@@ -385,15 +384,17 @@ void expect_bit_identical(const DesEpisodeStats& a, const DesEpisodeStats& b) {
     }
 }
 
-TEST(FelEquivalence, DesSystemEpisodesAreBitIdenticalAcrossKinds) {
+TEST(FelEquivalence, SingleShardEpisodesAreBitIdenticalAcrossKinds) {
     // The tentpole contract: switching the FEL implementation changes cost
     // only — the episode, including every RNG draw, is bitwise unchanged.
+    // K = 1 puts every queue's departure slot on one FEL.
     for (const ClientModel model :
          {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
         SCOPED_TRACE(static_cast<int>(model));
         const auto run = [&](FelKind kind) {
-            const FiniteSystemConfig config = episode_config(model, kind);
-            DesSystem system(config);
+            FiniteSystemConfig config = episode_config(model, kind);
+            config.shards = 1;
+            ShardedDesSystem system(config);
             const TupleSpace space(config.queue.num_states(), config.d);
             const FixedRulePolicy policy = make_jsq_policy(space);
             Rng rng(91);
@@ -447,18 +448,22 @@ TEST(FelEquivalence, CalendarShardedEpisodesStayThreadInvariant) {
 
 TEST(FelEquivalence, RouterEpisodesAreBitIdenticalAcrossKinds) {
     // The router path exercises the arrival-slot cancel branch (zero-mass
-    // shards) and the round-robin cursor; it must honor the same contract.
+    // shards) and the round-robin cursor (one global cycle at K = 1,
+    // shard-local cycles at K = 4); it must honor the same contract.
     for (const RouterKind router : {RouterKind::RoundRobin, RouterKind::Jsq}) {
-        SCOPED_TRACE(static_cast<int>(router));
-        const auto run = [&](FelKind kind) {
-            FiniteSystemConfig config = episode_config(ClientModel::Aggregated, kind);
-            config.router.kind = router;
-            DesSystem system(config);
-            Rng rng(17);
-            system.reset(rng);
-            return system.run_episode(rng);
-        };
-        expect_bit_identical(run(FelKind::Heap), run(FelKind::Calendar));
+        for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+            SCOPED_TRACE(static_cast<int>(router) * 100 + static_cast<int>(shards));
+            const auto run = [&](FelKind kind) {
+                FiniteSystemConfig config = episode_config(ClientModel::Aggregated, kind);
+                config.router.kind = router;
+                config.shards = shards;
+                ShardedDesSystem system(config);
+                Rng rng(17);
+                system.reset(rng);
+                return system.run_episode(rng);
+            };
+            expect_bit_identical(run(FelKind::Heap), run(FelKind::Calendar));
+        }
     }
 }
 

@@ -1,21 +1,19 @@
 // Tests for the discrete-event simulation engine (src/des/): the indexed
-// future-event-list, conservation/determinism of DesSystem, its statistical
-// equivalence to the epoch-synchronous FiniteSystem on registry scenarios,
-// single-queue agreement with the transient M/M/1/B oracle, and agreement
-// with the mean-field prediction at large M.
-#include "des/des_system.hpp"
+// future-event-list, and the analytic oracles of the event-driven backend
+// (`ShardedDesSystem`) — single-queue agreement with the transient M/M/1/B
+// oracle, and agreement with the mean-field prediction at large M. The
+// backend's mechanics, determinism and equivalence to FiniteSystem live in
+// tests/test_sharded_des.cpp.
+#include "des/event_queue.hpp"
 
-#include "core/evaluator.hpp"
-#include "core/scenarios.hpp"
+#include "des/sharded_des_system.hpp"
 #include "field/mfc_env.hpp"
-#include "policies/fixed.hpp"
 #include "queueing/gillespie.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <vector>
 
 namespace mflb {
@@ -127,120 +125,13 @@ TEST(EventQueue, RandomizedOperationsMatchReferenceOrdering) {
 }
 
 // ---------------------------------------------------------------------------
-// DesSystem mechanics
-// ---------------------------------------------------------------------------
-
-FiniteSystemConfig small_config(ClientModel model, double dt = 2.0, int horizon = 40) {
-    FiniteSystemConfig config;
-    config.num_queues = 30;
-    config.num_clients = 900;
-    config.dt = dt;
-    config.horizon = horizon;
-    config.client_model = model;
-    return config;
-}
-
-TEST(DesSystem, ConservesJobsAndCountsEveryEpoch) {
-    for (const ClientModel model :
-         {ClientModel::PerClient, ClientModel::Aggregated, ClientModel::InfiniteClients}) {
-        SCOPED_TRACE(static_cast<int>(model));
-        DesSystem system(small_config(model));
-        const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
-        Rng rng(7);
-        system.reset(rng);
-        while (!system.done()) {
-            const auto before = system.queue_states();
-            const std::int64_t jobs_before =
-                std::accumulate(before.begin(), before.end(), std::int64_t{0});
-            const EpochStats stats = system.step_with_rule(h, rng);
-            const auto& after = system.queue_states();
-            std::int64_t jobs_after = 0;
-            for (const int z : after) {
-                ASSERT_GE(z, 0);
-                ASSERT_LE(z, system.config().queue.buffer);
-                jobs_after += z;
-            }
-            EXPECT_EQ(jobs_after, jobs_before +
-                                      static_cast<std::int64_t>(stats.accepted_packets) -
-                                      static_cast<std::int64_t>(stats.served_packets));
-            // The incremental histogram must match a from-scratch count.
-            const std::vector<double> hist = system.empirical_distribution();
-            double total = 0.0;
-            for (std::size_t z = 0; z < hist.size(); ++z) {
-                const auto direct = static_cast<double>(
-                    std::count(after.begin(), after.end(), static_cast<int>(z)));
-                EXPECT_DOUBLE_EQ(hist[z] * static_cast<double>(after.size()), direct);
-                total += hist[z];
-            }
-            EXPECT_NEAR(total, 1.0, 1e-12);
-            EXPECT_GE(stats.server_utilization, 0.0);
-            EXPECT_LE(stats.server_utilization, 1.0);
-            EXPECT_GE(stats.mean_queue_length, 0.0);
-            EXPECT_LE(stats.mean_queue_length,
-                      static_cast<double>(system.config().queue.buffer));
-        }
-        EXPECT_THROW(system.step_with_rule(h, rng), std::logic_error);
-    }
-}
-
-TEST(DesSystem, DeterministicForFixedSeed) {
-    const FiniteSystemConfig config = small_config(ClientModel::Aggregated);
-    const TupleSpace space(config.queue.num_states(), config.d);
-    const FixedRulePolicy policy = make_jsq_policy(space);
-    auto run = [&] {
-        DesSystem system(config);
-        Rng rng(21);
-        system.reset(rng);
-        return system.run_episode(policy, rng);
-    };
-    const DesEpisodeStats a = run();
-    const DesEpisodeStats b = run();
-    EXPECT_EQ(a.dropped_packets, b.dropped_packets);
-    EXPECT_EQ(a.accepted_packets, b.accepted_packets);
-    EXPECT_DOUBLE_EQ(a.total_drops_per_queue, b.total_drops_per_queue);
-    EXPECT_DOUBLE_EQ(a.mean_queue_length, b.mean_queue_length);
-    EXPECT_DOUBLE_EQ(a.discounted_return, b.discounted_return);
-}
-
-TEST(DesSystem, ConditionedReplayPinsTheLambdaPath) {
-    FiniteSystemConfig config = small_config(ClientModel::InfiniteClients);
-    config.horizon = 10;
-    DesSystem system(config);
-    const DecisionRule h = DecisionRule::mf_rnd(system.tuple_space());
-    const std::vector<std::size_t> path{0, 1, 1, 0, 1};
-    Rng rng(3);
-    system.reset_conditioned(path, rng);
-    for (int t = 0; t < config.horizon; ++t) {
-        const std::size_t expected =
-            path[std::min<std::size_t>(static_cast<std::size_t>(t), path.size() - 1)];
-        EXPECT_EQ(system.lambda_state(), expected) << "epoch " << t;
-        system.step_with_rule(h, rng);
-    }
-}
-
-TEST(DesSystem, RejectsInvalidConfigsAndRules) {
-    FiniteSystemConfig config = small_config(ClientModel::Aggregated);
-    config.num_clients = 0;
-    EXPECT_THROW(DesSystem{config}, std::invalid_argument);
-    config = small_config(ClientModel::InfiniteClients);
-    config.nu0 = {0.5, 0.5}; // wrong support size for B = 5
-    EXPECT_THROW(DesSystem{config}, std::invalid_argument);
-
-    DesSystem system(small_config(ClientModel::Aggregated));
-    Rng rng(1);
-    system.reset(rng);
-    const DecisionRule wrong = DecisionRule::mf_rnd(TupleSpace(3, 2));
-    EXPECT_THROW(system.step_with_rule(wrong, rng), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
 // Exactness: one queue against the transient M/M/1/B oracle
 // ---------------------------------------------------------------------------
 
-TEST(DesSystem, SingleQueueFirstEpochMatchesTransientOracle) {
-    // With M = 1 every arrival targets queue 0 at rate M·λ = λ, so the first
-    // epoch from an empty queue is exactly the birth-death transient the
-    // uniformization oracle solves.
+TEST(ShardedDesSystem, SingleQueueFirstEpochMatchesTransientOracle) {
+    // With M = 1 (so K = 1) every arrival targets queue 0 at rate M·λ = λ,
+    // so the first epoch from an empty queue is exactly the birth-death
+    // transient the uniformization oracle solves.
     FiniteSystemConfig config;
     config.num_queues = 1;
     config.num_clients = 1;
@@ -251,7 +142,7 @@ TEST(DesSystem, SingleQueueFirstEpochMatchesTransientOracle) {
     const QueueTransientResult oracle = queue_transient_solution(
         0, 0.9, config.queue.service_rate, config.queue.buffer, config.dt);
 
-    DesSystem system(config);
+    ShardedDesSystem system(config);
     const DecisionRule h = DecisionRule::mf_rnd(system.tuple_space());
     Rng rng(13);
     const int reps = 20000;
@@ -271,70 +162,13 @@ TEST(DesSystem, SingleQueueFirstEpochMatchesTransientOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Statistical equivalence with FiniteSystem (registry scenarios)
-// ---------------------------------------------------------------------------
-
-void expect_backends_agree(FiniteSystemConfig config, std::size_t episodes,
-                           std::uint64_t seed) {
-    const TupleSpace space(config.queue.num_states(), config.d);
-    const FixedRulePolicy policy = make_jsq_policy(space);
-    const EvaluationResult finite = evaluate_finite(config, policy, episodes, seed);
-    const EvaluationResult des = evaluate_des(config, policy, episodes, seed);
-
-    // Identical model, independent randomness: the 95% CIs must overlap (a
-    // small slack absorbs the ~5% of seeds where disjoint CIs are expected).
-    const double scale = std::max({1.0, finite.total_drops.mean, des.total_drops.mean});
-    EXPECT_LE(std::abs(finite.total_drops.mean - des.total_drops.mean),
-              finite.total_drops.half_width + des.total_drops.half_width + 0.05 * scale)
-        << "finite " << finite.total_drops.mean << " +- " << finite.total_drops.half_width
-        << " vs des " << des.total_drops.mean << " +- " << des.total_drops.half_width;
-    EXPECT_NEAR(finite.mean_queue_length.mean, des.mean_queue_length.mean,
-                finite.mean_queue_length.half_width + des.mean_queue_length.half_width +
-                    0.05 * finite.mean_queue_length.mean);
-    EXPECT_NEAR(finite.utilization.mean, des.utilization.mean,
-                finite.utilization.half_width + des.utilization.half_width + 0.03);
-}
-
-TEST(DesVsFinite, Table1ScenarioDropRatesAgree) {
-    ExperimentConfig experiment = scenario_or_die("table1").experiment;
-    experiment.dt = 5.0;             // the herding-prone delay of Figure 5
-    experiment.eval_total_time = 150.0;
-    expect_backends_agree(experiment.finite_system(), 24, 101);
-}
-
-TEST(DesVsFinite, DelaySweepScenarioDropRatesAgree) {
-    ExperimentConfig experiment = scenario_or_die("delay-sweep").experiment;
-    experiment.dt = 5.0;
-    experiment.eval_total_time = 100.0;
-    expect_backends_agree(experiment.finite_system(), 16, 202);
-}
-
-TEST(DesVsFinite, InfiniteClientModelAgrees) {
-    ExperimentConfig experiment = scenario_or_die("table1").experiment;
-    experiment.dt = 3.0;
-    experiment.eval_total_time = 120.0;
-    experiment.client_model = ClientModel::InfiniteClients;
-    expect_backends_agree(experiment.finite_system(), 20, 303);
-}
-
-TEST(DesVsFinite, PerClientModelAgrees) {
-    ExperimentConfig experiment = scenario_or_die("table1").experiment;
-    experiment.dt = 5.0;
-    experiment.eval_total_time = 60.0;
-    experiment.num_queues = 50;
-    experiment.num_clients = 1000;
-    experiment.client_model = ClientModel::PerClient;
-    expect_backends_agree(experiment.finite_system(), 16, 404);
-}
-
-// ---------------------------------------------------------------------------
 // Mean-field agreement at large M (Theorem 1 probe beyond FiniteSystem reach)
 // ---------------------------------------------------------------------------
 
 TEST(DesVsMeanField, EmpiricalFillingTracksMfcEnvAtLargeM) {
-    // M = 10^4 queues on a conditioned λ path: the DES empirical queue
-    // filling and per-queue drops must sit on the deterministic mean-field
-    // prediction (fluctuations are O(1/sqrt(M))).
+    // M = 10^4 queues (default K = 8 shards) on a conditioned λ path: the
+    // DES empirical queue filling and per-queue drops must sit on the
+    // deterministic mean-field prediction (fluctuations are O(1/sqrt(M))).
     FiniteSystemConfig config;
     config.num_queues = 10000;
     config.num_clients = 1; // unused by InfiniteClients
@@ -369,7 +203,7 @@ TEST(DesVsMeanField, EmpiricalFillingTracksMfcEnvAtLargeM) {
     }
     const std::vector<double> nu_final(env.nu().begin(), env.nu().end());
 
-    DesSystem system(config);
+    ShardedDesSystem system(config);
     Rng rng(29);
     system.reset_conditioned(path, rng);
     double des_drops = 0.0;
@@ -386,35 +220,6 @@ TEST(DesVsMeanField, EmpiricalFillingTracksMfcEnvAtLargeM) {
     EXPECT_LT(l1, 0.04) << "final filling far from mean-field prediction";
     const double scale = std::max(1.0, limit_drops);
     EXPECT_LT(std::abs(des_drops - limit_drops) / scale, 0.05);
-}
-
-// ---------------------------------------------------------------------------
-// Sojourn percentiles (DES-only capability)
-// ---------------------------------------------------------------------------
-
-TEST(DesSystem, SojournPercentilesAreOrderedAndPlausible) {
-    FiniteSystemConfig config = small_config(ClientModel::Aggregated, 5.0, 60);
-    config.track_sojourn = true;
-    const TupleSpace space(config.queue.num_states(), config.d);
-    const FixedRulePolicy policy = make_rnd_policy(space);
-    DesSystem system(config);
-    Rng rng(31);
-    system.reset(rng);
-    const DesEpisodeStats stats = system.run_episode(policy, rng);
-    ASSERT_GT(stats.completed_jobs, 1000u);
-    EXPECT_GT(stats.sojourn_p50, 0.0);
-    EXPECT_LE(stats.sojourn_p50, stats.sojourn_p95);
-    EXPECT_LE(stats.sojourn_p95, stats.sojourn_p99);
-    // Mean must lie between the median and the tail for this skewed law.
-    EXPECT_GT(stats.mean_sojourn, 0.0);
-    EXPECT_LT(stats.mean_sojourn, stats.sojourn_p99);
-    // And the evaluator surfaces the same numbers with CIs.
-    SojournSummary summary;
-    const EvaluationResult result = evaluate_des(config, policy, 6, 47, 0, &summary);
-    EXPECT_EQ(result.episodes, 6u);
-    EXPECT_GT(summary.p50.mean, 0.0);
-    EXPECT_LE(summary.p50.mean, summary.p95.mean);
-    EXPECT_LE(summary.p95.mean, summary.p99.mean);
 }
 
 } // namespace

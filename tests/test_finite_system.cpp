@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace mflb {
@@ -32,6 +33,13 @@ TEST(FiniteSystem, ValidatesConfig) {
     bad = small_config();
     bad.num_clients = 0;
     EXPECT_THROW(FiniteSystem{bad}, std::invalid_argument);
+    // Δt must be finite and positive; NaN fails every comparison and +inf
+    // never ends an epoch, so both are rejected rather than hanging step().
+    for (const double dt : {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+        bad = small_config();
+        bad.dt = dt;
+        EXPECT_THROW(FiniteSystem{bad}, std::invalid_argument) << "dt=" << dt;
+    }
     bad = small_config(ClientModel::InfiniteClients);
     bad.num_clients = 0; // allowed: client count is irrelevant at N = ∞
     EXPECT_NO_THROW(FiniteSystem{bad});

@@ -153,34 +153,14 @@ TEST(GoldenTrajectories, MemorySystemAllDisciplines) {
     EXPECT_EQ(rnd.memory_hit_rate, 0.0);
 }
 
-// The DES constants below were recorded immediately before the classical-
-// router / service-distribution refactor (PR 6) by running the pre-refactor
-// library with exactly these configurations and printing every field at
-// %.17g. They pin that making the learned-policy path "just another router"
-// and threading `ServiceDistribution` through the departure sampling changed
-// no draw order: default-configured (exponential service, homogeneous,
-// RouterKind::Policy) trajectories are bit-identical.
+// Event-driven goldens. `ShardedDesSystemJsqFourShards` pins the Aggregated
+// prefix-sum path. The InfiniteClients golden was recorded with the library
+// as it stood just before its separate single-FEL simulator was deleted; it
+// pins the two-stage class sampler (class draw by mass, then a uniform
+// member), uneven shards (20 queues over K = 3) and the cross-shard sojourn
+// merges.
 
-TEST(GoldenTrajectories, DesSystemAggregatedJsq) {
-    FiniteSystemConfig config;
-    config.dt = 2.0;
-    config.num_queues = 32;
-    config.num_clients = 1024;
-    config.horizon = 25;
-    DesSystem system(config);
-    const FixedRulePolicy jsq = make_jsq_policy(system.tuple_space());
-    Rng rng(42);
-    system.reset(rng);
-    const DesEpisodeStats stats = system.run_episode(jsq, rng);
-    EXPECT_EQ(stats.total_drops_per_queue, 1.0);
-    EXPECT_EQ(stats.discounted_return, -0.86067758478825251);
-    EXPECT_EQ(stats.dropped_packets, 32u);
-    EXPECT_EQ(stats.accepted_packets, 1256u);
-    EXPECT_EQ(stats.mean_queue_length, 1.6507903627875129);
-    EXPECT_EQ(stats.server_utilization, 0.74747060449519764);
-}
-
-TEST(GoldenTrajectories, DesSystemInfiniteClientsSojourn) {
+TEST(GoldenTrajectories, ShardedDesSystemInfiniteClientsSojourn) {
     FiniteSystemConfig config;
     config.dt = 2.0;
     config.num_queues = 20;
@@ -188,22 +168,24 @@ TEST(GoldenTrajectories, DesSystemInfiniteClientsSojourn) {
     config.client_model = ClientModel::InfiniteClients;
     config.track_sojourn = true;
     config.histogram_sample_size = 8;
-    DesSystem system(config);
+    config.shards = 3;
+    config.threads = 1;
+    ShardedDesSystem system(config);
     const FixedRulePolicy jsq = make_jsq_policy(system.tuple_space());
     Rng rng(11);
     system.reset(rng);
     const DesEpisodeStats stats = system.run_episode(jsq, rng);
-    EXPECT_EQ(stats.total_drops_per_queue, 0.39999999999999997);
-    EXPECT_EQ(stats.discounted_return, -0.36636664714822881);
-    EXPECT_EQ(stats.dropped_packets, 8u);
-    EXPECT_EQ(stats.accepted_packets, 390u);
-    EXPECT_EQ(stats.mean_queue_length, 1.8958546041809639);
-    EXPECT_EQ(stats.server_utilization, 0.74700190425917834);
-    EXPECT_EQ(stats.mean_sojourn, 2.265656641594195);
-    EXPECT_EQ(stats.completed_jobs, 344u);
-    EXPECT_EQ(stats.sojourn_p50, 2.0447252678176548);
-    EXPECT_EQ(stats.sojourn_p95, 6.5737123388702763);
-    EXPECT_EQ(stats.sojourn_p99, 8.3995788166603766);
+    EXPECT_EQ(stats.total_drops_per_queue, 0.54999999999999993);
+    EXPECT_EQ(stats.discounted_return, -0.52218364895683622);
+    EXPECT_EQ(stats.dropped_packets, 11u);
+    EXPECT_EQ(stats.accepted_packets, 392u);
+    EXPECT_EQ(stats.mean_queue_length, 2.002928312924622);
+    EXPECT_EQ(stats.server_utilization, 0.81620668541722852);
+    EXPECT_EQ(stats.mean_sojourn, 2.4714953981575847);
+    EXPECT_EQ(stats.completed_jobs, 370u);
+    EXPECT_EQ(stats.sojourn_p50, 2.2069011404495691);
+    EXPECT_EQ(stats.sojourn_p95, 6.3674371001700552);
+    EXPECT_EQ(stats.sojourn_p99, 7.7523618758374093);
 }
 
 TEST(GoldenTrajectories, ShardedDesSystemJsqFourShards) {

@@ -1,12 +1,12 @@
 // Steady-state allocation tests for the simulation hot paths: after a warmup
 // step sized every workspace buffer, `FiniteSystem::step_with_rule`, the
-// event-driven `DesSystem::step_with_rule` (including its future event list)
+// event-driven `ShardedDesSystem::step_with_rule` (including its future event
+// lists, at one shard and at several)
 // and the into-variants of `ExactDiscretization::step`/`step_with_rates`
 // must not touch the heap. Verified by replacing the global allocator with a
 // counting one in this test binary — any hidden vector/matrix construction
 // in the step path shows up as a nonzero delta.
 #include "core/neural_policy.hpp"
-#include "des/des_system.hpp"
 #include "des/sharded_des_system.hpp"
 #include "field/mfc_env.hpp"
 #include "field/transition.hpp"
@@ -68,86 +68,103 @@ TEST(HotPathAllocations, FiniteSystemStepWithRulePerClientAndInfinite) {
     }
 }
 
-TEST(HotPathAllocations, DesSystemStepWithRuleAllClientModels) {
+/// Shard counts the event-driven allocation tests cover: one FEL over every
+/// queue, and a two-level reduction tree.
+constexpr std::size_t kShardCounts[] = {1, 4};
+
+TEST(HotPathAllocations, ShardedDesStepWithRuleAllClientModels) {
     for (const ClientModel model :
          {ClientModel::Aggregated, ClientModel::PerClient, ClientModel::InfiniteClients}) {
-        FiniteSystemConfig config;
-        config.num_queues = 50;
-        config.num_clients = 2500;
-        config.dt = 2.0;
-        config.horizon = 1 << 20;
-        config.client_model = model;
-        config.track_sojourn = true; // cover the per-job timestamp/P² path too
-        DesSystem system(config);
-        Rng rng(5);
-        system.reset(rng);
-        const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
+        for (const std::size_t shards : kShardCounts) {
+            FiniteSystemConfig config;
+            config.num_queues = 50;
+            config.num_clients = 2500;
+            config.dt = 2.0;
+            config.horizon = 1 << 20;
+            config.client_model = model;
+            config.shards = shards;
+            config.threads = 1;
+            config.track_sojourn = true; // cover the per-job timestamp/P² path too
+            ShardedDesSystem system(config);
+            Rng rng(5);
+            system.reset(rng);
+            const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
 
-        (void)system.step_with_rule(h, rng); // warmup
-        const std::size_t before = counting_allocator::count();
-        for (int i = 0; i < 50; ++i) {
-            (void)system.step_with_rule(h, rng);
+            (void)system.step_with_rule(h, rng); // warmup
+            const std::size_t before = counting_allocator::count();
+            for (int i = 0; i < 50; ++i) {
+                (void)system.step_with_rule(h, rng);
+            }
+            EXPECT_EQ(counting_allocator::count() - before, 0u)
+                << "client model " << static_cast<int>(model) << ", K=" << shards;
         }
-        EXPECT_EQ(counting_allocator::count() - before, 0u)
-            << "client model " << static_cast<int>(model);
     }
 }
 
-TEST(HotPathAllocations, DesSystemStepAllocationFreeUnderBothFelKinds) {
+TEST(HotPathAllocations, ShardedDesStepAllocationFreeUnderBothFelKinds) {
     // The FEL seam must not change the steady-state allocation contract:
     // heap and calendar (including the calendar's epoch-barrier retunes,
     // whose width-change rebuilds reuse the preallocated scratch buffer)
     // both run the event loop without touching the heap allocator.
     for (const FelKind kind : {FelKind::Heap, FelKind::Calendar}) {
-        FiniteSystemConfig config;
-        config.num_queues = 50;
-        config.num_clients = 2500;
-        config.dt = 2.0;
-        config.horizon = 1 << 20;
-        config.fel = kind;
-        DesSystem system(config);
-        Rng rng(5);
-        system.reset(rng);
-        const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
+        for (const std::size_t shards : kShardCounts) {
+            FiniteSystemConfig config;
+            config.num_queues = 50;
+            config.num_clients = 2500;
+            config.dt = 2.0;
+            config.horizon = 1 << 20;
+            config.fel = kind;
+            config.shards = shards;
+            config.threads = 1;
+            ShardedDesSystem system(config);
+            Rng rng(5);
+            system.reset(rng);
+            const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
 
-        (void)system.step_with_rule(h, rng); // warmup
-        const std::size_t before = counting_allocator::count();
-        for (int i = 0; i < 50; ++i) {
-            (void)system.step_with_rule(h, rng);
+            (void)system.step_with_rule(h, rng); // warmup
+            const std::size_t before = counting_allocator::count();
+            for (int i = 0; i < 50; ++i) {
+                (void)system.step_with_rule(h, rng);
+            }
+            EXPECT_EQ(counting_allocator::count() - before, 0u)
+                << "fel kind " << static_cast<int>(kind) << ", K=" << shards;
         }
-        EXPECT_EQ(counting_allocator::count() - before, 0u)
-            << "fel kind " << static_cast<int>(kind);
     }
 }
 
-TEST(HotPathAllocations, DesSystemRouterStepNonExponentialService) {
-    // The classical-router epoch path (weight law + prefix sums + arrival
-    // reschedule) and the general-service departure path (multi-draw
-    // hyperexponential sampling, per-queue speeds) must stay allocation-free
-    // in steady state, like the decision-rule path they sit beside.
+TEST(HotPathAllocations, ShardedDesRouterStepNonExponentialService) {
+    // The classical-router epoch path (weight law + shard masses + prefix
+    // sums + arrival reschedule) and the general-service departure path
+    // (multi-draw hyperexponential sampling, per-queue speeds) must stay
+    // allocation-free in steady state, like the decision-rule path they sit
+    // beside.
     for (const RouterKind kind : {RouterKind::Jsq, RouterKind::JsqD,
                                   RouterKind::RoundRobin, RouterKind::SqStale}) {
-        FiniteSystemConfig config;
-        config.num_queues = 50;
-        config.num_clients = 2500;
-        config.dt = 2.0;
-        config.horizon = 1 << 20;
-        config.router.kind = kind;
-        config.router.stale_period = 6.0;
-        config.service.kind = ServiceDistKind::HyperExp;
-        config.server_speeds.assign(50, 1.0);
-        config.track_sojourn = true;
-        DesSystem system(config);
-        Rng rng(7);
-        system.reset(rng);
+        for (const std::size_t shards : kShardCounts) {
+            FiniteSystemConfig config;
+            config.num_queues = 50;
+            config.num_clients = 2500;
+            config.dt = 2.0;
+            config.horizon = 1 << 20;
+            config.router.kind = kind;
+            config.router.stale_period = 6.0;
+            config.service.kind = ServiceDistKind::HyperExp;
+            config.server_speeds.assign(50, 1.0);
+            config.track_sojourn = true;
+            config.shards = shards;
+            config.threads = 1;
+            ShardedDesSystem system(config);
+            Rng rng(7);
+            system.reset(rng);
 
-        (void)system.step_router(rng); // warmup sizes every buffer
-        const std::size_t before = counting_allocator::count();
-        for (int i = 0; i < 50; ++i) {
-            (void)system.step_router(rng);
+            (void)system.step_router(rng); // warmup sizes every buffer
+            const std::size_t before = counting_allocator::count();
+            for (int i = 0; i < 50; ++i) {
+                (void)system.step_router(rng);
+            }
+            EXPECT_EQ(counting_allocator::count() - before, 0u)
+                << "router " << router_name(kind) << ", K=" << shards;
         }
-        EXPECT_EQ(counting_allocator::count() - before, 0u)
-            << "router " << router_name(kind);
     }
 }
 

@@ -1,11 +1,12 @@
 // Cross-backend equivalence of the classical routers. The weight-law routers
-// (random, jsq, jsq-d, sq-stale) feed the identical epoch-barrier law to all
-// three backends — frozen Poisson rates on FiniteSystem, thinned aggregated
-// streams on DesSystem, per-shard masses on ShardedDesSystem — so their drop
-// statistics must agree within Monte Carlo confidence intervals. sq-stale
-// with a zero refresh period goes through the same code path as jsq and is
-// pinned bit-identical to it; sharded results stay bit-identical across
-// thread counts even when the service law consumes multiple draws per sample.
+// (random, jsq, jsq-d, sq-stale) feed the identical epoch-barrier law to both
+// backends — frozen Poisson rates on FiniteSystem, per-shard masses and
+// thinned streams on ShardedDesSystem (one stream at K = 1, four at K = 4) —
+// so their drop statistics must agree within Monte Carlo confidence
+// intervals. sq-stale with a zero refresh period goes through the same code
+// path as jsq and is pinned bit-identical to it; sharded results stay
+// bit-identical across thread counts even when the service law consumes
+// multiple draws per sample.
 #include "core/mflb.hpp"
 
 #include <gtest/gtest.h>
@@ -23,6 +24,12 @@ FiniteSystemConfig fleet_config(RouterSpec router) {
     config.shards = 4;
     config.threads = 1;
     config.router = router;
+    return config;
+}
+
+/// The same fleet on one shard: a single FEL and one global arrival stream.
+FiniteSystemConfig single_shard(FiniteSystemConfig config) {
+    config.shards = 1;
     return config;
 }
 
@@ -62,25 +69,26 @@ TEST(RouterEquivalence, WeightLawRoutersAgreeAcrossBackends) {
         const FiniteSystemConfig config = fleet_config(spec);
         const std::size_t episodes = 12;
         const ConfidenceInterval finite = drops_ci<FiniteSystem>(config, episodes, 11);
-        const ConfidenceInterval des = drops_ci<DesSystem>(config, episodes, 11);
+        const ConfidenceInterval one =
+            drops_ci<ShardedDesSystem>(single_shard(config), episodes, 11);
         const ConfidenceInterval sharded = drops_ci<ShardedDesSystem>(config, episodes, 11);
         const std::string label(router_name(spec.kind));
-        expect_overlap(finite, des, (label + " finite/des").c_str());
-        expect_overlap(finite, sharded, (label + " finite/sharded").c_str());
-        expect_overlap(des, sharded, (label + " des/sharded").c_str());
+        expect_overlap(finite, one, (label + " finite/K=1").c_str());
+        expect_overlap(finite, sharded, (label + " finite/K=4").c_str());
+        expect_overlap(one, sharded, (label + " K=1/K=4").c_str());
     }
 }
 
 TEST(RouterEquivalence, RoundRobinAgreesOnEventBackends) {
-    // Round-robin is a cyclic cursor, not a weight law: the global cursor of
-    // DesSystem and the shard-local cursors of ShardedDesSystem are distinct
-    // realizations of the same near-deterministic cycle, so they agree in
-    // distribution (FiniteSystem only carries its equal-split mean behavior
-    // and is excluded by design — see queueing/router.hpp).
+    // Round-robin is a cyclic cursor, not a weight law: the one global cursor
+    // at K = 1 and the shard-local cursors at K = 4 are distinct realizations
+    // of the same near-deterministic cycle, so they agree in distribution
+    // (FiniteSystem only carries its equal-split mean behavior and is
+    // excluded by design — see queueing/router.hpp).
     const FiniteSystemConfig config = fleet_config({RouterKind::RoundRobin, 2, 0.0});
-    const ConfidenceInterval des = drops_ci<DesSystem>(config, 12, 23);
+    const ConfidenceInterval one = drops_ci<ShardedDesSystem>(single_shard(config), 12, 23);
     const ConfidenceInterval sharded = drops_ci<ShardedDesSystem>(config, 12, 23);
-    expect_overlap(des, sharded, "round-robin des/sharded");
+    expect_overlap(one, sharded, "round-robin K=1/K=4");
 }
 
 template <class System>
@@ -109,8 +117,8 @@ TEST(RouterEquivalence, SqStaleAtZeroPeriodIsExactlyJsq) {
     const FiniteSystemConfig jsq = fleet_config({RouterKind::Jsq, 2, 0.0});
     const FiniteSystemConfig sq0 = fleet_config({RouterKind::SqStale, 2, 0.0});
     expect_same_episode<FiniteSystem>(jsq, sq0, 31, "finite");
-    expect_same_episode<DesSystem>(jsq, sq0, 31, "des");
-    expect_same_episode<ShardedDesSystem>(jsq, sq0, 31, "sharded");
+    expect_same_episode<ShardedDesSystem>(single_shard(jsq), single_shard(sq0), 31, "K=1");
+    expect_same_episode<ShardedDesSystem>(jsq, sq0, 31, "K=4");
 }
 
 template <class System>
@@ -155,8 +163,9 @@ TEST(RouterEquivalence, RouterPathIgnoresThePolicyArgument) {
         config.client_model = model;
         const std::string label = std::to_string(static_cast<int>(model));
         expect_router_ignores_the_rule<FiniteSystem>(config, ("finite " + label).c_str());
-        expect_router_ignores_the_rule<DesSystem>(config, ("des " + label).c_str());
-        expect_router_ignores_the_rule<ShardedDesSystem>(config, ("sharded " + label).c_str());
+        expect_router_ignores_the_rule<ShardedDesSystem>(single_shard(config),
+                                                         ("K=1 " + label).c_str());
+        expect_router_ignores_the_rule<ShardedDesSystem>(config, ("K=4 " + label).c_str());
     }
 }
 

@@ -1,7 +1,7 @@
 // Tests for the named scenario registry (core/scenarios.hpp).
 #include "core/scenarios.hpp"
 
-#include "des/des_system.hpp"
+#include "des/sharded_des_system.hpp"
 #include "policies/fixed.hpp"
 
 #include <gtest/gtest.h>
@@ -72,19 +72,20 @@ TEST(Scenarios, PartialInfoForwardsSampledHistogram) {
     EXPECT_EQ(partial.experiment.finite_system().histogram_sample_size, 20u);
 }
 
-TEST(Scenarios, LargeNResolvesToTheDesBackendAtScale) {
+TEST(Scenarios, LargeNResolvesToTheEventDrivenBackendAtScale) {
     const Scenario& large = scenario_or_die("large-n");
-    EXPECT_EQ(large.experiment.backend, SimBackend::Des);
+    EXPECT_EQ(large.experiment.backend, SimBackend::ShardedDes);
     EXPECT_GE(large.experiment.num_queues, 10000u);
     EXPECT_GE(large.experiment.num_clients, 1000000u);
 }
 
 TEST(Scenarios, LargeNSmokeRunsOnTheEventDrivenBackend) {
     // One decision epoch at M = 10^4, N = 10^6 — far beyond what the
-    // epoch-synchronous simulator could smoke-test here — must run and
-    // produce sane statistics.
+    // epoch-synchronous simulator could smoke-test here — on the default
+    // K = min(8, M) = 8 queue shards must run and produce sane statistics.
     const Scenario& large = scenario_or_die("large-n");
-    DesSystem system(large.experiment.finite_system());
+    ShardedDesSystem system(large.experiment.finite_system());
+    EXPECT_EQ(system.num_shards(), ShardedDesSystem::kDefaultShards);
     const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
     Rng rng(5);
     system.reset(rng);

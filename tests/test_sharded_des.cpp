@@ -1,9 +1,9 @@
 // Tests for the sharded event-driven simulator (src/des/sharded_des_system):
 // shard partition sanity, per-epoch conservation, the determinism contract
 // (bit-identical results for fixed (seed, K) regardless of thread count, all
-// three client models), statistical equivalence to DesSystem on registry
-// scenarios (CI overlap), conditioned λ replay, sojourn percentiles, and the
-// evaluator/backend dispatch plumbing.
+// three client models), statistical equivalence to the epoch-synchronous
+// FiniteSystem on registry scenarios (CI overlap), conditioned λ replay,
+// sojourn percentiles, and the evaluator/backend dispatch plumbing.
 #include "des/sharded_des_system.hpp"
 
 #include "core/evaluator.hpp"
@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -71,6 +72,13 @@ TEST(ShardedDesSystem, RejectsInvalidConfigsAndRules) {
     config = small_config(ClientModel::InfiniteClients, 3);
     config.nu0 = {0.5, 0.5}; // wrong support size for B = 5
     EXPECT_THROW(ShardedDesSystem{config}, std::invalid_argument);
+    // Δt must be finite and positive: NaN compares false against every bound
+    // and +inf never ends an epoch, so both would hang the event loop.
+    for (const double dt : {0.0, -1.0, std::nan(""), std::numeric_limits<double>::infinity()}) {
+        config = small_config(ClientModel::Aggregated, 3);
+        config.dt = dt;
+        EXPECT_THROW(ShardedDesSystem{config}, std::invalid_argument) << "dt=" << dt;
+    }
     // A 2^32-queue shard overflows the 32-bit local ids; rejected before the
     // queue array is allocated.
     config = small_config(ClientModel::InfiniteClients, 1);
@@ -302,61 +310,61 @@ TEST(ShardedDesSystem, ShardCountIsPartOfTheContract) {
 }
 
 // ---------------------------------------------------------------------------
-// Statistical equivalence with DesSystem (registry scenarios)
+// Statistical equivalence with FiniteSystem (registry scenarios)
 // ---------------------------------------------------------------------------
 
-void expect_event_backends_agree(FiniteSystemConfig config, std::size_t episodes,
-                                 std::uint64_t seed) {
+void expect_matches_finite(FiniteSystemConfig config, std::size_t episodes,
+                           std::uint64_t seed) {
     const TupleSpace space(config.queue.num_states(), config.d);
     const FixedRulePolicy policy = make_jsq_policy(space);
-    const EvaluationResult des = evaluate_des(config, policy, episodes, seed);
+    const EvaluationResult finite = evaluate_finite(config, policy, episodes, seed);
     const EvaluationResult sharded = evaluate_sharded_des(config, policy, episodes, seed);
 
     // Identical model, independent randomness: the 95% CIs must overlap (a
     // small slack absorbs the ~5% of seeds where disjoint CIs are expected).
-    const double scale = std::max({1.0, des.total_drops.mean, sharded.total_drops.mean});
-    EXPECT_LE(std::abs(des.total_drops.mean - sharded.total_drops.mean),
-              des.total_drops.half_width + sharded.total_drops.half_width + 0.05 * scale)
-        << "des " << des.total_drops.mean << " +- " << des.total_drops.half_width
+    const double scale = std::max({1.0, finite.total_drops.mean, sharded.total_drops.mean});
+    EXPECT_LE(std::abs(finite.total_drops.mean - sharded.total_drops.mean),
+              finite.total_drops.half_width + sharded.total_drops.half_width + 0.05 * scale)
+        << "finite " << finite.total_drops.mean << " +- " << finite.total_drops.half_width
         << " vs sharded " << sharded.total_drops.mean << " +- "
         << sharded.total_drops.half_width;
-    EXPECT_NEAR(des.mean_queue_length.mean, sharded.mean_queue_length.mean,
-                des.mean_queue_length.half_width + sharded.mean_queue_length.half_width +
-                    0.05 * des.mean_queue_length.mean);
-    EXPECT_NEAR(des.utilization.mean, sharded.utilization.mean,
-                des.utilization.half_width + sharded.utilization.half_width + 0.03);
+    EXPECT_NEAR(finite.mean_queue_length.mean, sharded.mean_queue_length.mean,
+                finite.mean_queue_length.half_width + sharded.mean_queue_length.half_width +
+                    0.05 * finite.mean_queue_length.mean);
+    EXPECT_NEAR(finite.utilization.mean, sharded.utilization.mean,
+                finite.utilization.half_width + sharded.utilization.half_width + 0.03);
 }
 
-TEST(ShardedVsDes, Table1ScenarioDropRatesAgree) {
+TEST(ShardedVsFinite, Table1ScenarioDropRatesAgree) {
     ExperimentConfig experiment = scenario_or_die("table1").experiment;
     experiment.dt = 5.0; // the herding-prone delay of Figure 5
     experiment.eval_total_time = 150.0;
     experiment.shards = 8;
-    expect_event_backends_agree(experiment.finite_system(), 24, 111);
+    expect_matches_finite(experiment.finite_system(), 24, 111);
 }
 
-TEST(ShardedVsDes, DelaySweepScenarioDropRatesAgree) {
+TEST(ShardedVsFinite, DelaySweepScenarioDropRatesAgree) {
     ExperimentConfig experiment = scenario_or_die("delay-sweep").experiment;
     experiment.dt = 5.0;
     experiment.eval_total_time = 100.0;
     experiment.shards = 8;
-    expect_event_backends_agree(experiment.finite_system(), 16, 222);
+    expect_matches_finite(experiment.finite_system(), 16, 222);
 }
 
-TEST(ShardedVsDes, InfiniteClientModelAgrees) {
+TEST(ShardedVsFinite, InfiniteClientModelAgrees) {
     ExperimentConfig experiment = scenario_or_die("table1").experiment;
     experiment.dt = 3.0;
     experiment.eval_total_time = 120.0;
     experiment.client_model = ClientModel::InfiniteClients;
     experiment.shards = 6;
-    expect_event_backends_agree(experiment.finite_system(), 20, 333);
+    expect_matches_finite(experiment.finite_system(), 20, 333);
 }
 
-TEST(ShardedVsDes, InfiniteClientsMultiClassMovesAgree) {
+TEST(ShardedVsFinite, InfiniteClientsMultiClassMovesAgree) {
     // Δt = 5 from a top-heavy start: between barriers queues cross several
     // state classes, so every epoch runs the class sampler's multi-step swap
-    // chains (and their class-size assert) against DesSystem's per-job
-    // d-sampling on the same snapshot.
+    // chains (and their class-size assert) against FiniteSystem's frozen
+    // per-queue rates on the same snapshot law.
     ExperimentConfig experiment = scenario_or_die("table1").experiment;
     experiment.dt = 5.0;
     experiment.eval_total_time = 100.0;
@@ -364,10 +372,10 @@ TEST(ShardedVsDes, InfiniteClientsMultiClassMovesAgree) {
     experiment.shards = 6;
     FiniteSystemConfig config = experiment.finite_system();
     config.nu0 = {0.05, 0.0, 0.0, 0.15, 0.3, 0.5};
-    expect_event_backends_agree(config, 20, 555);
+    expect_matches_finite(config, 20, 555);
 }
 
-TEST(ShardedVsDes, PerClientModelAgrees) {
+TEST(ShardedVsFinite, PerClientModelAgrees) {
     ExperimentConfig experiment = scenario_or_die("table1").experiment;
     experiment.dt = 5.0;
     experiment.eval_total_time = 60.0;
@@ -375,7 +383,7 @@ TEST(ShardedVsDes, PerClientModelAgrees) {
     experiment.num_clients = 1000;
     experiment.client_model = ClientModel::PerClient;
     experiment.shards = 4;
-    expect_event_backends_agree(experiment.finite_system(), 16, 444);
+    expect_matches_finite(experiment.finite_system(), 16, 444);
 }
 
 // ---------------------------------------------------------------------------
@@ -412,9 +420,14 @@ TEST(ShardedDesSystem, SojournPercentilesAreOrderedAndPlausible) {
 
 TEST(ShardedDesSystem, BackendNameAndParseRoundTrip) {
     EXPECT_EQ(backend_name(SimBackend::ShardedDes), "sharded-des");
+    EXPECT_EQ(backend_name(SimBackend::Finite), "finite");
     EXPECT_EQ(parse_backend("sharded-des"), SimBackend::ShardedDes);
+    EXPECT_EQ(parse_backend("finite"), SimBackend::Finite);
+    // Aliases: "des" and "sharded" both name the event-driven backend.
     EXPECT_EQ(parse_backend("sharded"), SimBackend::ShardedDes);
+    EXPECT_EQ(parse_backend("des"), SimBackend::ShardedDes);
     EXPECT_THROW(parse_backend("sharded-dse"), std::invalid_argument);
+    EXPECT_THROW(parse_backend(""), std::invalid_argument);
 }
 
 TEST(ShardedDesSystem, EvaluateBackendDispatchesToShardedDes) {
@@ -426,24 +439,6 @@ TEST(ShardedDesSystem, EvaluateBackendDispatchesToShardedDes) {
         evaluate_backend(SimBackend::ShardedDes, config, policy, 4, 9);
     EXPECT_EQ(direct.episodes, dispatched.episodes);
     EXPECT_DOUBLE_EQ(direct.total_drops.mean, dispatched.total_drops.mean);
-}
-
-TEST(ShardedDesSystem, LargeNShardedScenarioSmokeRuns) {
-    // One decision epoch of the registered scenario: M = 10^4, N = 10^6,
-    // K = 8 shards — must run and produce sane statistics.
-    const Scenario& scenario = scenario_or_die("large-n-sharded");
-    EXPECT_EQ(scenario.experiment.backend, SimBackend::ShardedDes);
-    EXPECT_EQ(scenario.experiment.shards, 8u);
-    ShardedDesSystem system(scenario.experiment.finite_system());
-    EXPECT_EQ(system.num_shards(), 8u);
-    const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
-    Rng rng(5);
-    system.reset(rng);
-    const EpochStats stats = system.step_with_rule(h, rng);
-    EXPECT_GT(stats.accepted_packets, 0u);
-    EXPECT_GE(stats.server_utilization, 0.0);
-    EXPECT_LE(stats.server_utilization, 1.0);
-    EXPECT_EQ(system.time(), 1);
 }
 
 } // namespace

@@ -4,7 +4,7 @@
 #include "queueing/sojourn.hpp"
 
 #include "core/evaluator.hpp"
-#include "des/des_system.hpp"
+#include "des/sharded_des_system.hpp"
 #include "policies/fixed.hpp"
 
 #include <gtest/gtest.h>
@@ -121,7 +121,7 @@ TEST(SojournSimulation, DesMeasuredSojournMatchesAnalyticOracle) {
     const FixedRulePolicy rnd = make_rnd_policy(space);
 
     SojournSummary sojourn;
-    (void)evaluate_des(config, rnd, 8, 61, 0, &sojourn);
+    (void)evaluate_sharded_des(config, rnd, 8, 61, 0, &sojourn);
     const double oracle = mm1b_mean_sojourn(arrival, service, buffer);
     EXPECT_GT(sojourn.mean.n, 0u);
     EXPECT_NEAR(sojourn.mean.mean, oracle, 3.0 * sojourn.mean.half_width + 0.05)

@@ -5,7 +5,7 @@
 // epoch-synchronous simulator cannot reach in test time.
 #include "core/config.hpp"
 #include "core/evaluator.hpp"
-#include "des/des_system.hpp"
+#include "des/sharded_des_system.hpp"
 #include "policies/fixed.hpp"
 
 #include <gtest/gtest.h>
@@ -96,7 +96,7 @@ TEST(Theorem1, DesBackendConvergesAtTenThousandQueues) {
             limit += env.step(h, unused).drops;
         }
 
-        DesSystem system(config);
+        ShardedDesSystem system(config);
         Rng rng(seed + 1);
         system.reset_conditioned(path, rng);
         double drops = 0.0;

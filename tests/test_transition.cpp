@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace mflb {
@@ -15,6 +16,10 @@ TEST(ExactDiscretization, ValidatesConstruction) {
     EXPECT_THROW(ExactDiscretization({0, 1.0}, 1.0), std::invalid_argument);
     EXPECT_THROW(ExactDiscretization({5, 0.0}, 1.0), std::invalid_argument);
     EXPECT_THROW(ExactDiscretization({5, 1.0}, 0.0), std::invalid_argument);
+    EXPECT_THROW(ExactDiscretization({5, 1.0}, -1.0), std::invalid_argument);
+    EXPECT_THROW(ExactDiscretization({5, 1.0}, std::nan("")), std::invalid_argument);
+    EXPECT_THROW(ExactDiscretization({5, 1.0}, std::numeric_limits<double>::infinity()),
+                 std::invalid_argument);
 }
 
 TEST(ExactDiscretization, GeneratorColumnsSumToArrivalInDropRow) {
