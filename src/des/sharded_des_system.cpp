@@ -162,6 +162,9 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
     if (config_.client_model == ClientModel::Aggregated) {
         shard_clients_.assign(k, 0);
     }
+    if (config_.track_sojourn) {
+        jobs_ = JobTimestampSlab(m, config_.queue.buffer);
+    }
     telemetry_series_ = "sharded_epoch";
     if (config_.telemetry != nullptr) {
         set_telemetry(config_.telemetry);
@@ -216,15 +219,7 @@ void ShardedDesSystem::reset(Rng& rng) {
     router_.reset();
 
     if (config_.track_sojourn) {
-        jobs_.clear();
-        jobs_.reserve(queues_.size());
-        for (int z : queues_) {
-            JobTimestamps stamps(config_.queue.buffer);
-            for (int j = 0; j < z; ++j) {
-                stamps.push(0.0);
-            }
-            jobs_.push_back(std::move(stamps));
-        }
+        jobs_.reset(queues_, 0.0);
     }
 
     std::fill(state_counts_.begin(), state_counts_.end(), 0);
@@ -508,14 +503,9 @@ void ShardedDesSystem::handle_arrival(Shard& shard, double t) {
         local = shard.rr_next;
         shard.rr_next = shard.rr_next + 1 == shard.cum.size() ? 0 : shard.rr_next + 1;
     } else {
-        // Conditional destination law inside the shard: binary search on the
-        // shard-local prefix sums (exact thinning of the global law).
-        const double target = shard.rng.uniform() * shard.total_weight;
-        const auto it = std::upper_bound(shard.cum.begin(), shard.cum.end(), target);
-        local = static_cast<std::size_t>(it - shard.cum.begin());
-        if (local >= shard.cum.size()) {
-            local = shard.cum.size() - 1;
-        }
+        // Conditional destination law inside the shard: guide-table search
+        // on the shard-local prefix sums (exact thinning of the global law).
+        local = shard.guide.sample(shard.cum, shard.rng.uniform() * shard.total_weight);
     }
     const std::size_t j = shard.begin + local;
     if (queues_[j] < config_.queue.buffer) {
@@ -531,7 +521,7 @@ void ShardedDesSystem::handle_arrival(Shard& shard, double t) {
             shard.fel.schedule(local, t + service_time(j, shard.rng));
         }
         if (config_.track_sojourn) {
-            jobs_[j].push(t);
+            jobs_.row(j).push(t);
         }
         if (class_sampler_) {
             mark_dirty(shard, local);
@@ -557,7 +547,7 @@ void ShardedDesSystem::handle_departure(Shard& shard, std::size_t local_id, doub
         mark_dirty(shard, local_id);
     }
     if (config_.track_sojourn) {
-        const double sojourn = jobs_[j].pop(t);
+        const double sojourn = jobs_.row(j).pop(t);
         shard.stats.mean_sojourn += sojourn; // running sum; divided in reduce.
         ++shard.stats.completed_jobs;
         shard.sojourn.record(sojourn);
@@ -621,6 +611,11 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
     // memorylessness makes cancel-and-redraw exact. Rate zero (no routing
     // mass in this shard) simply parks the slot.
     if (shard.arrival_rate > 0.0 && shard.total_weight > 0.0) {
+        if (!class_sampler_ && router_.kind() != RouterKind::RoundRobin) {
+            // One bucket per queue: a draw scans O(1) prefix sums, and the
+            // build is one merge pass beside the prefix sum just taken.
+            shard.guide.build(shard.cum, local_n);
+        }
         shard.fel.schedule(shard.local_arrival_slot(),
                            epoch_start + shard.rng.exponential(shard.arrival_rate));
     } else {

@@ -27,8 +27,10 @@
 /// splits exactly into K independent Poisson streams — shard s receives
 /// rate M·λ_t · W_s / W with W_s its routing mass, and each of its arrivals
 /// picks a destination inside the shard with the conditional law w_j / W_s.
-/// PerClient, Aggregated and the classical routers realize that law by
-/// binary search on shard-local prefix sums of the per-queue weights.
+/// PerClient, Aggregated and the classical routers realize that law by a
+/// guide-table search (math/guide_table.hpp) on shard-local prefix sums of
+/// the per-queue weights: the same index as binary search, found in O(1)
+/// expected steps.
 /// InfiniteClients needs no per-queue pass at all: w_j = w(z_j) depends only
 /// on queue j's snapshot state (eqs. 18–19), so W_s = Σ_z c_s[z]·w(z) comes
 /// from the shard's snapshot class counts c_s, and an arrival draws a class
@@ -74,6 +76,7 @@
 #pragma once
 
 #include "des/fel.hpp"
+#include "math/guide_table.hpp"
 #include "queueing/finite_system.hpp"
 #include "queueing/sojourn.hpp"
 #include "queueing/system_base.hpp"
@@ -202,6 +205,8 @@ private:
                                           ///< mark instead of walking all of Z.
         std::vector<double> cum;          ///< local destination prefix sums
                                           ///< (empty under the class sampler).
+        GuideTable guide;                 ///< indexed search over `cum`, rebuilt
+                                          ///< each epoch (buckets reserved once).
         double total_weight = 0.0;        ///< routing mass W_s.
         double arrival_rate = 0.0;        ///< thinned Poisson rate M·λ_t·W_s/W.
         std::uint64_t clients = 0;        ///< N_s (Aggregated only).
@@ -241,6 +246,7 @@ private:
                 is_dirty.assign(num_local_queues, false);
             } else {
                 cum.assign(num_local_queues, 0.0);
+                guide.reserve(num_local_queues);
             }
         }
 
@@ -381,9 +387,10 @@ private:
     std::vector<double> shard_mass_;       ///< per-shard routing mass (K).
     std::vector<std::uint64_t> shard_clients_; ///< per-shard N_s (K).
 
-    // Per-job sojourn tracking (track_sojourn only); jobs_[j] is touched
-    // only by the shard owning queue j.
-    std::vector<JobTimestamps> jobs_;
+    // Per-job sojourn tracking (track_sojourn only; empty otherwise): one
+    // flat M×B timestamp store whose row j is touched only by the shard
+    // owning queue j.
+    JobTimestampSlab jobs_;
 
     // Epoch-keyed cache of the cross-shard sojourn percentiles: one merge
     // pass fills all three; invalidated by advancing an epoch or resetting.

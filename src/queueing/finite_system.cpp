@@ -53,6 +53,9 @@ FiniteSystem::FiniteSystem(FiniteSystemConfig config)
     if (general_service()) {
         next_completion_.assign(m, std::numeric_limits<double>::infinity());
     }
+    if (config_.track_sojourn) {
+        jobs_ = JobTimestampSlab(m, config_.queue.buffer);
+    }
     telemetry_series_ = "finite_epoch";
     if (config_.telemetry != nullptr) {
         set_telemetry(config_.telemetry);
@@ -92,17 +95,9 @@ void FiniteSystem::reset(Rng& rng) {
         }
     }
     if (config_.track_sojourn) {
-        jobs_.clear();
-        jobs_.reserve(queues_.size());
-        for (int z : queues_) {
-            JobTimestamps stamps(config_.queue.buffer);
-            // Jobs present at t = 0 get timestamp 0 (their waiting before
-            // the simulation started is unknown and counted as zero).
-            for (int k = 0; k < z; ++k) {
-                stamps.push(0.0);
-            }
-            jobs_.push_back(std::move(stamps));
-        }
+        // Jobs present at t = 0 get timestamp 0 (their waiting before the
+        // simulation started is unknown and counted as zero).
+        jobs_.reset(queues_, 0.0);
     }
 }
 
@@ -222,13 +217,13 @@ EpochStats FiniteSystem::simulate_epoch_from_rates(Rng& rng) {
             const SojournEpochResult s = simulate_queue_epoch_general(
                 queues_[j], rates[j], service_, speed(j), config_.queue.buffer, clock_,
                 config_.dt, next_completion_[j], rng,
-                config_.track_sojourn ? &jobs_[j] : nullptr);
+                config_.track_sojourn ? jobs_.row(j) : JobTimestampSlab::Row{});
             r = s.queue;
             sojourn_sum += s.sojourn.mean() * static_cast<double>(s.sojourn.count());
             stats.completed_jobs += s.sojourn.count();
         } else if (config_.track_sojourn) {
             const SojournEpochResult s = simulate_queue_epoch_sojourn(
-                jobs_[j], clock_, rates[j], config_.queue.service_rate, config_.queue.buffer,
+                jobs_.row(j), clock_, rates[j], config_.queue.service_rate, config_.queue.buffer,
                 config_.dt, rng);
             r = s.queue;
             sojourn_sum += s.sojourn.mean() * static_cast<double>(s.sojourn.count());

@@ -72,7 +72,8 @@ struct FiniteSystemConfig {
     double discount = 0.99;            ///< γ for discounted returns.
     ClientModel client_model = ClientModel::Aggregated;
     std::vector<double> nu0;           ///< initial per-queue state law; empty = δ_0.
-    /// Track exact per-job sojourn times (FIFO timestamps per queue).
+    /// Track exact per-job sojourn times (FIFO timestamps per queue;
+    /// requires buffer <= JobTimestampSlab::kMaxCapacity).
     bool track_sojourn = false;
     /// Partial information (paper §2.1 remark): if > 0, the upper-level
     /// policy sees an *estimate* of H_t^M built from this many uniformly
@@ -198,7 +199,7 @@ private:
     TupleSpace space_;
     EpochRouter router_;
     ServiceDistribution service_;
-    std::vector<JobTimestamps> jobs_; ///< per-queue FIFO timestamps (sojourn mode).
+    JobTimestampSlab jobs_;           ///< per-queue FIFO timestamps (sojourn mode).
     /// General-service kernel state: absolute completion time of the job in
     /// service at queue j (+inf when idle), carried across epochs.
     std::vector<double> next_completion_;

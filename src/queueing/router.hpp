@@ -11,8 +11,8 @@
 ///    M·λ_t·w_j/Σw for its per-queue epoch kernels;
 ///  - `ShardedDesSystem` partitions the weights into per-shard masses at the
 ///    barrier (`partition_shard_mass`) and each shard thins its own Poisson
-///    stream by binary search on its weight prefix sums (one destination
-///    draw per job), keeping the parallel phase lock-free.
+///    stream by a guide-table search on its weight prefix sums (one
+///    destination draw per job), keeping the parallel phase lock-free.
 /// Because both consume the identical law, the routers are
 /// statistically equivalent across backends by construction
 /// (tests/test_router_equivalence.cpp). Classical routers operate at the

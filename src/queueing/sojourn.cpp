@@ -1,36 +1,44 @@
 #include "queueing/sojourn.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
 
 namespace mflb {
 
-JobTimestamps::JobTimestamps(int capacity) : ring_(static_cast<std::size_t>(capacity) + 1) {
-    if (capacity < 1) {
-        throw std::invalid_argument("JobTimestamps: capacity must be >= 1");
+JobTimestampSlab::JobTimestampSlab(std::size_t num_queues, int capacity) {
+    if (capacity < 1 || capacity > kMaxCapacity) {
+        throw std::invalid_argument("JobTimestampSlab: capacity (buffer) must be in [1, 255]");
+    }
+    capacity_ = static_cast<unsigned>(capacity);
+    ring_.assign(num_queues * capacity_, 0.0);
+    cursors_.assign(num_queues, Cursor{});
+}
+
+void JobTimestampSlab::reset(std::span<const int> fill, double t) {
+    if (fill.size() != cursors_.size()) {
+        throw std::invalid_argument("JobTimestampSlab::reset: fill size mismatch");
+    }
+    for (std::size_t j = 0; j < fill.size(); ++j) {
+        const int z = fill[j];
+        if (z < 0 || static_cast<unsigned>(z) > capacity_) {
+            throw std::invalid_argument("JobTimestampSlab::reset: fill outside [0, capacity]");
+        }
+        cursors_[j] = Cursor{0, static_cast<std::uint8_t>(z)};
+        std::fill_n(ring_.data() + j * capacity_, z, t);
     }
 }
 
-void JobTimestamps::push(double t) {
-    if (count_ >= ring_.size()) {
-        throw std::logic_error("JobTimestamps::push: buffer overflow");
-    }
-    ring_[(head_ + count_) % ring_.size()] = t;
-    ++count_;
+void JobTimestampSlab::Row::throw_overflow() {
+    throw std::logic_error("JobTimestampSlab: push onto a full ring (buffer overflow)");
 }
 
-double JobTimestamps::pop(double t) {
-    if (count_ == 0) {
-        throw std::logic_error("JobTimestamps::pop: empty buffer");
-    }
-    const double arrival = ring_[head_];
-    head_ = (head_ + 1) % ring_.size();
-    --count_;
-    return t - arrival;
+void JobTimestampSlab::Row::throw_empty() {
+    throw std::logic_error("JobTimestampSlab: pop from an empty ring");
 }
 
-SojournEpochResult simulate_queue_epoch_sojourn(JobTimestamps& jobs, double t0,
+SojournEpochResult simulate_queue_epoch_sojourn(JobTimestampSlab::Row jobs, double t0,
                                                 double arrival_rate, double service_rate,
                                                 int buffer, double dt, Rng& rng) {
     SojournEpochResult result;
@@ -77,7 +85,7 @@ SojournEpochResult simulate_queue_epoch_general(int z0, double arrival_rate,
                                                 const ServiceDistribution& service,
                                                 double speed, int buffer, double t0,
                                                 double dt, double& next_completion,
-                                                Rng& rng, JobTimestamps* jobs) {
+                                                Rng& rng, JobTimestampSlab::Row jobs) {
     constexpr double kInf = std::numeric_limits<double>::infinity();
     SojournEpochResult result;
     const double end = t0 + dt;
@@ -107,16 +115,16 @@ SojournEpochResult simulate_queue_epoch_general(int z0, double arrival_rate,
         if (departure_next) {
             --z;
             ++result.queue.services;
-            if (jobs != nullptr) {
-                result.sojourn.add(jobs->pop(t));
+            if (jobs) {
+                result.sojourn.add(jobs.pop(t));
             }
             next_completion = z > 0 ? t + service.sample(rng) / speed : kInf;
         } else {
             if (z < buffer) {
                 ++z;
                 ++result.queue.arrivals;
-                if (jobs != nullptr) {
-                    jobs->push(t);
+                if (jobs) {
+                    jobs.push(t);
                 }
                 if (z == 1) {
                     next_completion = t + service.sample(rng) / speed;

@@ -215,6 +215,67 @@ TEST(GoldenTrajectories, ShardedDesSystemJsqFourShards) {
     EXPECT_EQ(stats.sojourn_p99, 9.9516727812447687);
 }
 
+// The next two were recorded with the library as it stood just before the
+// per-queue timestamp rings became one flat slab and the shard-local
+// destination draw moved from binary search to a guide table. The first has
+// wide shards (2048 queues each) and ~60 accepted jobs per queue, so every
+// ring wraps many times; the second pins a weight-law router (jsq-d) with
+// short epochs (dt = 0.1).
+
+TEST(GoldenTrajectories, ShardedDesSystemAggregatedWideShardsSojourn) {
+    FiniteSystemConfig config;
+    config.dt = 2.0;
+    config.num_queues = 4096;
+    config.num_clients = 400000;
+    config.horizon = 40;
+    config.shards = 2;
+    config.threads = 1;
+    config.track_sojourn = true;
+    ShardedDesSystem system(config);
+    const FixedRulePolicy jsq = make_jsq_policy(system.tuple_space());
+    Rng rng(23);
+    system.reset(rng);
+    const DesEpisodeStats stats = system.run_episode(jsq, rng);
+    EXPECT_EQ(stats.total_drops_per_queue, 1.403076171875);
+    EXPECT_EQ(stats.discounted_return, -1.1515633869536195);
+    EXPECT_EQ(stats.dropped_packets, 5747u);
+    EXPECT_EQ(stats.accepted_packets, 255046u);
+    EXPECT_EQ(stats.mean_queue_length, 1.7565561126514928);
+    EXPECT_EQ(stats.server_utilization, 0.75539830494784832);
+    EXPECT_EQ(stats.mean_sojourn, 2.2731314061331327);
+    EXPECT_EQ(stats.completed_jobs, 247203u);
+    EXPECT_EQ(stats.sojourn_p50, 1.843976881121868);
+    EXPECT_EQ(stats.sojourn_p95, 6.2573595075256865);
+    EXPECT_EQ(stats.sojourn_p99, 8.7847714223191851);
+}
+
+TEST(GoldenTrajectories, ShardedDesSystemJsqDRouterSojourn) {
+    FiniteSystemConfig config;
+    config.dt = 0.1;
+    config.num_queues = 600;
+    config.horizon = 150;
+    config.shards = 3;
+    config.threads = 1;
+    config.track_sojourn = true;
+    config.router.kind = RouterKind::JsqD;
+    config.router.d = 2;
+    ShardedDesSystem system(config);
+    Rng rng(29);
+    system.reset(rng);
+    const DesEpisodeStats stats = system.run_episode(rng);
+    EXPECT_EQ(stats.total_drops_per_queue, 0.0);
+    EXPECT_EQ(stats.discounted_return, 0.0);
+    EXPECT_EQ(stats.dropped_packets, 0u);
+    EXPECT_EQ(stats.accepted_packets, 7392u);
+    EXPECT_EQ(stats.mean_queue_length, 1.2282513344095809);
+    EXPECT_EQ(stats.server_utilization, 0.7084021701505131);
+    EXPECT_EQ(stats.mean_sojourn, 1.488140694261584);
+    EXPECT_EQ(stats.completed_jobs, 6451u);
+    EXPECT_EQ(stats.sojourn_p50, 1.2134813525509471);
+    EXPECT_EQ(stats.sojourn_p95, 4.5408137728723341);
+    EXPECT_EQ(stats.sojourn_p99, 6.3054719447604954);
+}
+
 TEST(GoldenTrajectories, MfcEnvUniformizationArithmetic) {
     // Pins the ExactDiscretization workspace rewrite: a 20-epoch mean-field
     // rollout must match the seed implementation's per-call uniformization
