@@ -16,8 +16,6 @@
 ///     by class-count arrival sampling). Reports per-episode wall clocks,
 ///     the speedup at every M including M = 10^5, and the largest M each
 ///     backend finishes inside --budget seconds.
-///  1b. FEL A/B (heap vs calendar) at M = 10^5 on one shard, so a single
-///     event list holds every queue's departure.
 ///  2. N-sweep at M = 10^4 with the exact finite-N Aggregated client model
 ///     (multinomial client counts) up to N = 10^6 on the DES backend.
 ///  3. A sojourn showcase: DES per-job p50/p95/p99 at M = 10^4 on one shard
@@ -224,33 +222,6 @@ int main(int argc, char** argv) {
                 m_ratio >= 10.0 ? "(>= 10x: DES scale goal met)" : "");
     std::printf("speedup at M=10^5: %s%.1fx\n\n", speedup_at_1e5_is_bound ? ">= " : "",
                 speedup_at_1e5);
-
-    // --- 1b. FEL A/B: binary-heap vs calendar future event list -----------
-    {
-        // Same workload, same seed, results bit-identical by the FEL
-        // determinism contract — only the event-engine data structure
-        // changes. One shard puts all M = 10^5 departure slots on a single
-        // event list, deep enough that the heap's O(log n) sift shows; the
-        // "speedup" row is bigger-is-better in CI.
-        const std::size_t m = 100000;
-        FiniteSystemConfig config =
-            scale_config(m, lambda_total, dt, horizon, ClientModel::InfiniteClients, 10 * m);
-        config.shards = 1;
-        config.fel = FelKind::Heap;
-        const EpisodeRun heap = run_one_episode<ShardedDesSystem>(config, jsq, seed);
-        timings.record("des_episode_fel=heap_M=100000", heap.seconds);
-        config.fel = FelKind::Calendar;
-        const EpisodeRun calendar = run_one_episode<ShardedDesSystem>(config, jsq, seed);
-        timings.record("des_episode_fel=calendar_M=100000", calendar.seconds);
-        const double fel_speedup =
-            calendar.seconds > 0.0 ? heap.seconds / calendar.seconds : 0.0;
-        timings.record("fel_speedup_M=100000", fel_speedup);
-        std::printf("FEL A/B at M=10^5: heap %.3f s, calendar %.3f s (%.2fx), "
-                    "drops/queue %s\n\n",
-                    heap.seconds, calendar.seconds, fel_speedup,
-                    heap.drops_per_queue == calendar.drops_per_queue ? "bit-identical"
-                                                                     : "MISMATCH");
-    }
 
     // --- 2. N-sweep: exact finite-N client aggregation on DES -------------
     {

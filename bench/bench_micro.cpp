@@ -50,9 +50,8 @@ BENCHMARK(BM_GillespieQueueEpoch)->Arg(1)->Arg(5)->Arg(10);
 
 // FEL hold model (the classic priority-queue workload and the DES event
 // loop's steady state): n pending events; each iteration pops the minimum
-// and schedules its successor an exponential increment ahead. The heap pays
-// O(log n) per transaction, the calendar amortized O(1) — the gap is the
-// tentpole's claim, visible directly in the items/sec column.
+// and schedules its successor an exponential increment ahead: O(log n) per
+// transaction, read off the items/sec column.
 void BM_FelHoldHeap(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     EventQueue fel(n);
@@ -68,27 +67,9 @@ void BM_FelHoldHeap(benchmark::State& state) {
 }
 BENCHMARK(BM_FelHoldHeap)->Arg(100)->Arg(10000)->Arg(100000)->Arg(1000000);
 
-void BM_FelHoldCalendar(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    // Rate hint = n: n pending events advancing by mean-1 increments is n
-    // events per unit time, the same hint the DES derives from its config.
-    CalendarQueue fel(n, static_cast<double>(n));
-    Rng rng(7);
-    for (std::size_t id = 0; id < n; ++id) {
-        fel.schedule(id, rng.exponential(1.0));
-    }
-    fel.retune(); // the epoch-barrier call: grow the day array to the fill.
-    for (auto _ : state) {
-        const CalendarQueue::Event event = fel.pop();
-        fel.schedule(event.id, event.time + rng.exponential(1.0));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FelHoldCalendar)->Arg(100)->Arg(10000)->Arg(100000)->Arg(1000000);
-
 // The fused fast path the DES backend actually runs: peek the front event,
-// then relocate it in place (one sift / one bucket relocation) instead of a
-// pop followed by a fresh insert.
+// then relocate it in place (one sift) instead of a pop followed by a fresh
+// insert.
 void BM_FelHoldHeapFused(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     EventQueue fel(n);
@@ -104,27 +85,16 @@ void BM_FelHoldHeapFused(benchmark::State& state) {
 }
 BENCHMARK(BM_FelHoldHeapFused)->Arg(10000)->Arg(100000);
 
-void BM_FelHoldCalendarFused(benchmark::State& state) {
+// Operation mix: 70% hold transactions, 20% reschedules of a random slot,
+// 10% cancel + re-insert — the FEL's full operation surface under one
+// deterministic stream.
+void BM_FelMixedHeap(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
-    CalendarQueue fel(n, static_cast<double>(n));
-    Rng rng(7);
+    EventQueue fel(n);
+    Rng fill(3);
     for (std::size_t id = 0; id < n; ++id) {
-        fel.schedule(id, rng.exponential(1.0));
+        fel.schedule(id, fill.exponential(1.0));
     }
-    fel.retune();
-    for (auto _ : state) {
-        const CalendarQueue::Event event = fel.peek();
-        fel.pop_and_reschedule(event.id, event.time + rng.exponential(1.0));
-    }
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_FelHoldCalendarFused)->Arg(10000)->Arg(100000);
-
-// Arrival-pattern mix: 70% hold transactions, 20% reschedules of a random
-// slot (the DES's arrival-slot redraw), 10% cancel + re-insert — the FEL's
-// full operation surface under one deterministic stream.
-template <class Fel>
-void fel_mixed_loop(benchmark::State& state, Fel& fel, std::size_t n) {
     Rng rng(7);
     for (auto _ : state) {
         const double coin = rng.uniform();
@@ -143,29 +113,7 @@ void fel_mixed_loop(benchmark::State& state, Fel& fel, std::size_t n) {
     }
     state.SetItemsProcessed(state.iterations());
 }
-
-void BM_FelMixedHeap(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    EventQueue fel(n);
-    Rng fill(3);
-    for (std::size_t id = 0; id < n; ++id) {
-        fel.schedule(id, fill.exponential(1.0));
-    }
-    fel_mixed_loop(state, fel, n);
-}
 BENCHMARK(BM_FelMixedHeap)->Arg(10000)->Arg(100000);
-
-void BM_FelMixedCalendar(benchmark::State& state) {
-    const auto n = static_cast<std::size_t>(state.range(0));
-    CalendarQueue fel(n, static_cast<double>(n));
-    Rng fill(3);
-    for (std::size_t id = 0; id < n; ++id) {
-        fel.schedule(id, fill.exponential(1.0));
-    }
-    fel.retune();
-    fel_mixed_loop(state, fel, n);
-}
-BENCHMARK(BM_FelMixedCalendar)->Arg(10000)->Arg(100000);
 
 void BM_FiniteSystemEpochAggregated(benchmark::State& state) {
     FiniteSystemConfig config;

@@ -180,11 +180,6 @@ int run_eval(const CliParser& cli) {
     if (cli.provided("backend")) {
         backend = parse_backend(cli.get("backend"));
     }
-    // Future-event-list implementation for the event-driven backend; both kinds
-    // produce bit-identical episodes, so this is a pure speed knob.
-    if (cli.provided("fel")) {
-        experiment.fel = parse_fel_kind(cli.get("fel"));
-    }
     // Routing discipline and service-time law: scenario values unless
     // overridden (the staleness-sweep / heavy-tail scenarios preset them).
     if (cli.provided("router")) {
@@ -347,10 +342,6 @@ int main(int argc, char** argv) {
                   "the reduced CI-sized budget (paper scale: ~2.5e7 steps, hours)");
     cli.flag_int("shards", 0,
                  "Queue shards K for the sharded-des backend (0 = scenario's, or min(8, M))");
-    cli.flag("fel", "calendar",
-             "Future event list for the sharded-des backend: calendar "
-             "(amortized O(1) buckets, default) or heap (binary heap); "
-             "bit-identical results either way");
     cli.flag("router", "policy",
              "Routing discipline for eval mode: 'policy' (decision-rule path), "
              "'random', 'round-robin', 'jsq', 'jsq-d', or 'sq-stale'; default = "

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Invalid-input contract of mflb_cli: values the flag parser accepts but the
 # model rejects (a non-positive or non-finite delay, zero queues, zero
-# episodes, a zero-length horizon, an unknown mode) must exit 2 with a
-# diagnostic on stderr, and must never hang or abort.
+# episodes, a zero-length horizon, an unknown mode) and unknown flags (the
+# removed --fel) must exit 2 with a diagnostic on stderr, and must never
+# hang or abort.
 #
 # Usage: scripts/check-cli-invalid-input.sh path/to/mflb_cli
 set -u
@@ -42,6 +43,7 @@ expect_usage_error --mode train --trainer cem --dt nan
 expect_usage_error --mode train --trainer ppo --dt inf
 expect_usage_error --mode dp --dt nan
 expect_usage_error --mode bogus
+expect_usage_error --mode eval --backend des --fel heap
 
 if [[ $failures -ne 0 ]]; then
     echo "$failures invalid input(s) not rejected with exit 2"

@@ -7,7 +7,7 @@ written by --metrics-out and chrome://tracing span files as written by
 
   scripts/validate-telemetry.py \
       --metrics eval.jsonl --expect-series sharded_epoch --min-rows 10 \
-      --expect-field fel_schedules \
+      --expect-field des_events_total \
       --trace eval_trace.json --expect-span policy_query
 
 Exits non-zero listing every violation. JSONL rows must be one JSON object
@@ -136,7 +136,7 @@ def main():
     parser.add_argument("--expect-field", action="append", default=[],
                         help="metrics field (column) that must appear across the "
                              "metrics files, e.g. a registered counter like "
-                             "fel_schedules")
+                             "des_events_total")
     parser.add_argument("--expect-span", action="append", default=[],
                         help="span name that must appear across the trace files")
     args = parser.parse_args()

@@ -54,7 +54,6 @@ FiniteSystemConfig ExperimentConfig::finite_system() const {
     config.client_model = client_model;
     config.histogram_sample_size = histogram_sample_size;
     config.shards = shards;
-    config.fel = fel;
     config.threads = threads;
     config.router = router;
     config.service = service;

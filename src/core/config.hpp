@@ -62,10 +62,6 @@ struct ExperimentConfig {
     /// Queue shards K for the sharded-des backend (0 = min(8, M)); part of
     /// the result-determining (seed, K) pair. Ignored by the finite backend.
     std::size_t shards = 0;
-    /// Future-event-list implementation for the sharded-des backend (heap or
-    /// calendar; both yield bit-identical episodes — the `--fel` CLI/bench
-    /// flag overrides it). Ignored by the finite backend.
-    FelKind fel = FelKind::Calendar;
     /// Worker threads for the sharded-des epoch-parallel phase and the
     /// default for Monte Carlo replication fan-out (0 = all hardware
     /// threads). Never changes results (`--threads` CLI/bench flag).

@@ -26,9 +26,7 @@
 #include "core/rl_adapter.hpp"
 #include "core/scenarios.hpp"
 #include "core/trainers.hpp"
-#include "des/calendar_queue.hpp"
 #include "des/event_queue.hpp"
-#include "des/fel.hpp"
 #include "des/sharded_des_system.hpp"
 #include "field/arrival_flow.hpp"
 #include "field/arrival_process.hpp"

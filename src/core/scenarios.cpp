@@ -85,9 +85,6 @@ Scenario make_large_n() {
     // Keep full episodes tractable at this size: 20 decision epochs.
     s.experiment.eval_total_time = 100.0;
     s.experiment.backend = SimBackend::ShardedDes;
-    // Calendar FEL (the default, pinned here for clarity): at M=10^4 the
-    // event loop is exactly the regime where O(1) buckets beat the heap.
-    s.experiment.fel = FelKind::Calendar;
     return s;
 }
 

@@ -4,10 +4,24 @@
 
 namespace mflb {
 
-EventQueue::EventQueue(std::size_t capacity) : heap_(capacity), pos_(capacity, kAbsent) {
+namespace {
+
+/// Validates the capacity before any buffer exists: positions are stored as
+/// uint32 with UINT32_MAX reserved for "absent".
+std::size_t checked_capacity(std::size_t capacity) {
     if (capacity == 0) {
         throw std::invalid_argument("EventQueue: capacity must be positive");
     }
+    if (capacity >= std::size_t{UINT32_MAX}) {
+        throw std::invalid_argument("EventQueue: capacity must be below 2^32 - 1");
+    }
+    return capacity;
+}
+
+} // namespace
+
+EventQueue::EventQueue(std::size_t capacity) : pos_(checked_capacity(capacity), kAbsent) {
+    heap_.reserve(capacity);
 }
 
 double EventQueue::time_of(std::size_t id) const {
@@ -21,7 +35,7 @@ void EventQueue::schedule(std::size_t id, double time) {
     if (id >= pos_.size()) {
         throw std::invalid_argument("EventQueue::schedule: id out of range");
     }
-    const std::size_t i = pos_[id];
+    const std::uint32_t i = pos_[id];
     if (i != kAbsent) {
         // Reschedule in place: move the entry, then restore the heap order
         // in whichever direction the new key requires.
@@ -30,10 +44,10 @@ void EventQueue::schedule(std::size_t id, double time) {
         sift_down(pos_[id]);
         return;
     }
-    heap_[size_] = {time, id};
-    pos_[id] = size_;
-    sift_up(size_);
-    ++size_;
+    const std::size_t last = heap_.size();
+    heap_.push_back({time, id}); // within the reserved capacity: no allocation.
+    pos_[id] = static_cast<std::uint32_t>(last);
+    sift_up(last);
 }
 
 bool EventQueue::cancel(std::size_t id) noexcept {
@@ -72,10 +86,10 @@ EventQueue::Event EventQueue::pop() {
 }
 
 void EventQueue::clear() noexcept {
-    for (std::size_t i = 0; i < size_; ++i) {
-        pos_[heap_[i].id] = kAbsent;
+    for (const Event& event : heap_) {
+        pos_[event.id] = kAbsent;
     }
-    size_ = 0;
+    heap_.clear();
 }
 
 void EventQueue::sift_up(std::size_t i) noexcept {
@@ -85,43 +99,45 @@ void EventQueue::sift_up(std::size_t i) noexcept {
             break;
         }
         std::swap(heap_[i], heap_[parent]);
-        pos_[heap_[i].id] = i;
-        pos_[heap_[parent].id] = parent;
+        pos_[heap_[i].id] = static_cast<std::uint32_t>(i);
+        pos_[heap_[parent].id] = static_cast<std::uint32_t>(parent);
         i = parent;
     }
 }
 
 void EventQueue::sift_down(std::size_t i) noexcept {
+    const std::size_t size = heap_.size();
     while (true) {
         const std::size_t left = 2 * i + 1;
-        if (left >= size_) {
+        if (left >= size) {
             return;
         }
         std::size_t smallest = left;
         const std::size_t right = left + 1;
-        if (right < size_ && before(heap_[right], heap_[left])) {
+        if (right < size && before(heap_[right], heap_[left])) {
             smallest = right;
         }
         if (!before(heap_[smallest], heap_[i])) {
             return;
         }
         std::swap(heap_[i], heap_[smallest]);
-        pos_[heap_[i].id] = i;
-        pos_[heap_[smallest].id] = smallest;
+        pos_[heap_[i].id] = static_cast<std::uint32_t>(i);
+        pos_[heap_[smallest].id] = static_cast<std::uint32_t>(smallest);
         i = smallest;
     }
 }
 
 void EventQueue::remove_at(std::size_t i) noexcept {
     pos_[heap_[i].id] = kAbsent;
-    --size_;
-    if (i == size_) {
+    const Event last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size()) {
         return; // removed the last entry; nothing to re-order.
     }
-    heap_[i] = heap_[size_];
-    pos_[heap_[i].id] = i;
+    heap_[i] = last;
+    pos_[last.id] = static_cast<std::uint32_t>(i);
     sift_up(i);
-    sift_down(pos_[heap_[i].id]);
+    sift_down(pos_[last.id]);
 }
 
 } // namespace mflb

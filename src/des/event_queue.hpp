@@ -1,19 +1,20 @@
 /// \file event_queue.hpp
 /// Future event list (FEL) of the discrete-event simulation engine: an
 /// *indexed* binary min-heap of (time, slot id) pairs. Indexing by a dense
-/// slot id — one slot per schedulable event source, e.g. one per queue plus
-/// one for the aggregated arrival stream — gives O(log n) scheduling,
-/// rescheduling (the DES reschedules the arrival stream at every decision
-/// epoch when the modulated rate λ_t and the routing change) and O(log n)
-/// cancellation, all with zero heap allocations after construction: every
-/// buffer is sized by the fixed slot capacity up front, per the workspace
-/// invariants in docs/ARCHITECTURE.md.
+/// slot id — one slot per schedulable event source, e.g. one per queue's
+/// departure — gives O(log n) scheduling, rescheduling and cancellation.
+///
+/// Memory: the id -> heap-position index costs 4 B resident per slot; the
+/// heap array is reserved for every slot up front but only touched up to the
+/// pending high-water mark (16 B per pending event). After construction no
+/// operation allocates, per the workspace invariants in docs/ARCHITECTURE.md.
 ///
 /// Determinism: ties are broken by slot id, so the event order — and hence
 /// every downstream RNG draw — is reproducible across platforms.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace mflb {
@@ -26,12 +27,13 @@ public:
         std::size_t id = 0;
     };
 
-    /// \param capacity number of event slots (valid ids are 0..capacity-1).
+    /// \param capacity number of event slots (valid ids are 0..capacity-1);
+    /// must be positive and below 2^32 - 1 (positions are 32-bit).
     explicit EventQueue(std::size_t capacity);
 
     std::size_t capacity() const noexcept { return pos_.size(); }
-    std::size_t size() const noexcept { return size_; }
-    bool empty() const noexcept { return size_ == 0; }
+    std::size_t size() const noexcept { return heap_.size(); }
+    bool empty() const noexcept { return heap_.empty(); }
 
     /// True if slot `id` currently has a pending event.
     bool contains(std::size_t id) const noexcept {
@@ -47,12 +49,12 @@ public:
     /// Removes the pending event of slot `id`; returns false if none.
     bool cancel(std::size_t id) noexcept;
 
-    /// Reschedules the *pending* slot `id` at `time` — the arrival slot's
-    /// pop-then-reschedule pattern collapsed into a single sift. When `id`
-    /// is at the root (the common case: it was just peeked as the minimum)
-    /// this is one sift-down from the root instead of remove_at(0) plus a
-    /// fresh insert. Throws std::logic_error if the slot has no pending
-    /// event.
+    /// Reschedules the *pending* slot `id` at `time` — the pop-then-schedule
+    /// pattern of a queue that stays busy after a departure, collapsed into
+    /// a single sift. When `id` is at the root (the common case: it was just
+    /// peeked as the minimum) this is one sift-down from the root instead of
+    /// a removal plus a fresh insert. Throws std::logic_error if the slot
+    /// has no pending event.
     void pop_and_reschedule(std::size_t id, double time);
 
     /// Earliest pending event; throws std::logic_error when empty.
@@ -64,7 +66,7 @@ public:
     void clear() noexcept;
 
 private:
-    static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+    static constexpr std::uint32_t kAbsent = UINT32_MAX;
 
     /// (time, id) lexicographic order: deterministic across tie-breaks.
     static bool before(const Event& a, const Event& b) noexcept {
@@ -75,9 +77,8 @@ private:
     void sift_down(std::size_t i) noexcept;
     void remove_at(std::size_t i) noexcept;
 
-    std::vector<Event> heap_;      ///< first size_ entries form the heap.
-    std::vector<std::size_t> pos_; ///< id -> heap index (kAbsent if none).
-    std::size_t size_ = 0;
+    std::vector<Event> heap_;        ///< the heap; capacity reserved up front.
+    std::vector<std::uint32_t> pos_; ///< id -> heap index (kAbsent if none).
 };
 
 } // namespace mflb

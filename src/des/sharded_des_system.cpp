@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <limits>
 #include <span>
 #include <stdexcept>
 
@@ -19,10 +20,10 @@ namespace {
 /// the schedule stays a pure function of the configuration.
 constexpr std::size_t kMinParallelReduceWork = std::size_t{1} << 14;
 
-/// Largest shard: its local ids and its arrival slot id (n_local) must stay
-/// below the calendar FEL's two reserved 32-bit link values, and the class
-/// sampler stores local ids and class fence posts as uint32.
-constexpr std::size_t kMaxShardQueues = (std::size_t{1} << 32) - 4;
+/// Largest shard: the shard FEL stores heap positions as uint32 with one
+/// reserved value, and the class sampler stores local ids and class fence
+/// posts as uint32.
+constexpr std::size_t kMaxShardQueues = (std::size_t{1} << 32) - 2;
 
 /// K: the configured shard count (0 = the fixed default), clamped to M.
 std::size_t shard_count(const FiniteSystemConfig& config) {
@@ -111,8 +112,7 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
     shards_.reserve(k);
     for (std::size_t s = 0; s < k; ++s) {
         const std::size_t n_local = shard_begin_[s + 1] - shard_begin_[s];
-        shards_.emplace_back(config_.fel, n_local, fel_rate_hint(config_, n_local),
-                             num_z, class_sampler_);
+        shards_.emplace_back(n_local, num_z, class_sampler_);
         shards_.back().begin = shard_begin_[s];
         shards_.back().end = shard_begin_[s + 1];
     }
@@ -181,9 +181,6 @@ void ShardedDesSystem::on_telemetry_attached() {
         barrier_prologue_id_ = registry.gauge("barrier_prologue_seconds");
         barrier_reduce_id_ = registry.gauge("barrier_reduce_seconds");
         barrier_parallel_id_ = registry.gauge("barrier_parallel_seconds");
-        fel_schedules_id_ = registry.counter("fel_schedules");
-        fel_pops_id_ = registry.counter("fel_pops");
-        fel_scans_id_ = registry.counter("fel_bucket_scans");
         shard_registry_ = &registry;
     }
 }
@@ -529,10 +526,7 @@ void ShardedDesSystem::handle_arrival(Shard& shard, double t) {
     } else {
         ++shard.stats.dropped_packets;
     }
-    // The arrival slot is at the shard FEL's front (it was just peeked as
-    // the minimum): reschedule in place instead of pop + insert.
-    shard.fel.pop_and_reschedule(shard.local_arrival_slot(),
-                                 t + shard.rng.exponential(shard.arrival_rate));
+    shard.next_arrival = t + shard.rng.exponential(shard.arrival_rate);
 }
 
 void ShardedDesSystem::handle_departure(Shard& shard, std::size_t local_id, double t) {
@@ -566,11 +560,6 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
     Shard& shard = shards_[s];
     const std::size_t local_n = shard.end - shard.begin;
     const std::uint64_t thin_begin = tracer_ != nullptr ? trace::now_ns() : 0;
-
-    // Epoch boundary: the one place the shard's calendar FEL may resize or
-    // re-tune its day array (shard-owned, so this is race-free; the event
-    // loop below stays allocation-free).
-    shard.fel.retune();
 
     // Shard-local destination prefix sums for this epoch's routing weights,
     // realized with the vectorized scan (exact for the integer-count client
@@ -609,17 +598,16 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
     // (Re)schedule the shard's thinned arrival stream: the pending
     // next-arrival was drawn under the previous epoch's rate and routing;
     // memorylessness makes cancel-and-redraw exact. Rate zero (no routing
-    // mass in this shard) simply parks the slot.
+    // mass in this shard) parks the stream at +inf.
     if (shard.arrival_rate > 0.0 && shard.total_weight > 0.0) {
         if (!class_sampler_ && router_.kind() != RouterKind::RoundRobin) {
             // One bucket per queue: a draw scans O(1) prefix sums, and the
             // build is one merge pass beside the prefix sum just taken.
             shard.guide.build(shard.cum, local_n);
         }
-        shard.fel.schedule(shard.local_arrival_slot(),
-                           epoch_start + shard.rng.exponential(shard.arrival_rate));
+        shard.next_arrival = epoch_start + shard.rng.exponential(shard.arrival_rate);
     } else {
-        shard.fel.cancel(shard.local_arrival_slot());
+        shard.next_arrival = std::numeric_limits<double>::infinity();
     }
     if (tracer_ != nullptr) {
         tracer_->record("thinning", thin_begin, trace::now_ns());
@@ -638,21 +626,29 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
             shard.cursor = t;
         }
     };
-    // Peek-based loop: the handlers relocate (or pop) the front event
-    // themselves, so the dominant paths pay one in-place reschedule instead
-    // of a pop followed by a fresh insert; the pop sequence — the (time, id)
-    // sorted order of the pending-event multiset — is unchanged.
-    while (!shard.fel.empty()) {
-        const FutureEventList::Event event = shard.fel.peek();
-        if (event.time > epoch_end) {
+    // Next event: the earlier of the arrival timer and the FEL front. A
+    // departure wins an exact tie, which is the (time, id) order of a FEL
+    // holding the arrival stream under an id above every queue's. Departures
+    // are peeked, not popped: the handler relocates (or pops) the front
+    // event itself, so a queue that stays busy pays one in-place reschedule.
+    while (true) {
+        if (!shard.fel.empty()) {
+            const EventQueue::Event front = shard.fel.peek();
+            if (front.time <= shard.next_arrival) {
+                if (front.time > epoch_end) {
+                    break;
+                }
+                advance_to(front.time);
+                handle_departure(shard, front.id, front.time);
+                continue;
+            }
+        }
+        const double t = shard.next_arrival;
+        if (t > epoch_end) { // also ends the epoch when the stream is parked.
             break;
         }
-        advance_to(event.time);
-        if (event.id == shard.local_arrival_slot()) {
-            handle_arrival(shard, event.time);
-        } else {
-            handle_departure(shard, event.id, event.time);
-        }
+        advance_to(t);
+        handle_arrival(shard, t);
     }
     advance_to(epoch_end);
     // Lower the high-water mark past any emptied top states so the barrier
@@ -671,17 +667,6 @@ void ShardedDesSystem::run_shard_epoch(std::size_t s, double epoch_start, double
                                                  shard.stats.dropped_packets +
                                                  shard.stats.served_packets),
                              s);
-        // FEL operation deltas ride the same shard-owned lane.
-        const FutureEventList::Stats fs = shard.fel.stats();
-        shard_registry_->add(fel_schedules_id_,
-                             static_cast<double>(fs.schedules - shard.fel_last.schedules),
-                             s);
-        shard_registry_->add(fel_pops_id_,
-                             static_cast<double>(fs.pops - shard.fel_last.pops), s);
-        shard_registry_->add(
-            fel_scans_id_,
-            static_cast<double>(fs.bucket_scans - shard.fel_last.bucket_scans), s);
-        shard.fel_last = fs;
     }
 }
 

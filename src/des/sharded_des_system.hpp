@@ -50,10 +50,10 @@
 ///  1. *Barrier (serial)* — policy query on the observed H_t^M, per-queue
 ///     routing weights, per-shard masses/rates (and shard client totals),
 ///     all from the caller's RNG;
-///  2. *Parallel phase* — each shard (re)schedules its thinned arrival slot
-///     and drains its own `EventQueue` to the epoch end, drawing only from
-///     its own `Rng::fork(shard)` stream and touching only its own queue
-///     slice — lock-free, no atomics, no cross-shard reads;
+///  2. *Parallel phase* — each shard redraws its thinned arrival timer and
+///     drains its own `EventQueue` of departures to the epoch end, drawing
+///     only from its own `Rng::fork(shard)` stream and touching only its own
+///     queue slice — lock-free, no atomics, no cross-shard reads;
 ///  3. *Barrier (reduction)* — the integer payloads (state counts up to each
 ///     shard's occupied high-water mark, packet counters) combine through a
 ///     fixed-shape pairwise tree whose nodes can themselves fan out over the
@@ -75,7 +75,7 @@
 /// `FiniteSystem` on registry scenarios.
 #pragma once
 
-#include "des/fel.hpp"
+#include "des/event_queue.hpp"
 #include "math/guide_table.hpp"
 #include "queueing/finite_system.hpp"
 #include "queueing/sojourn.hpp"
@@ -196,7 +196,10 @@ private:
     struct Shard {
         std::size_t begin = 0;            ///< first owned queue index.
         std::size_t end = 0;              ///< past-the-end queue index.
-        FutureEventList fel;              ///< (end-begin) departures + 1 arrival slot.
+        EventQueue fel;                   ///< one departure slot per owned queue.
+        double next_arrival = 0.0;        ///< the thinned arrival stream's next
+                                          ///< event (+inf while parked); a
+                                          ///< departure wins an exact tie.
         Rng rng{0};                       ///< fork(shard_id) stream, reset-owned.
         std::vector<int> state_counts;    ///< local histogram over Z.
         std::size_t hot_hi = 0;           ///< 1 + highest occupied state index:
@@ -220,7 +223,6 @@ private:
         SojournRecorder sojourn;          ///< local sojourn percentiles
                                           ///< (track_sojourn only; merged
                                           ///< across shards on demand).
-        FutureEventList::Stats fel_last{}; ///< counters at last telemetry publish.
         // Class sampler (InfiniteClients without a router), kept after the
         // fields every model's event loop touches: local ids grouped by
         // snapshot class, members[class_begin[z] .. class_begin[z+1]) in
@@ -234,9 +236,8 @@ private:
                                                 ///< capacity n_local, reserved once.
         std::vector<bool> is_dirty;             ///< membership flags of `dirty`.
 
-        Shard(FelKind kind, std::size_t num_local_queues, double rate_hint,
-              std::size_t num_states, bool class_sampler)
-            : fel(kind, num_local_queues + 1, rate_hint), state_counts(num_states, 0) {
+        Shard(std::size_t num_local_queues, std::size_t num_states, bool class_sampler)
+            : fel(num_local_queues), state_counts(num_states, 0) {
             if (class_sampler) {
                 members.resize(num_local_queues);
                 pos.resize(num_local_queues);
@@ -249,8 +250,6 @@ private:
                 guide.reserve(num_local_queues);
             }
         }
-
-        std::size_t local_arrival_slot() const noexcept { return end - begin; }
     };
 
     /// Barrier phase 1: routing weights, per-shard masses/rates, shard
@@ -411,9 +410,6 @@ private:
     MetricsRegistry::Id barrier_prologue_id_ = 0;
     MetricsRegistry::Id barrier_reduce_id_ = 0;
     MetricsRegistry::Id barrier_parallel_id_ = 0;
-    MetricsRegistry::Id fel_schedules_id_ = 0;
-    MetricsRegistry::Id fel_pops_id_ = 0;
-    MetricsRegistry::Id fel_scans_id_ = 0;
 
     // Policy-query hot path: reusable observation / rule buffers plus a
     // per-policy scratch cache keyed by policy identity (a linear scan over

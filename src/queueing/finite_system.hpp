@@ -50,16 +50,6 @@ enum class ClientModel {
     InfiniteClients, ///< deterministic mean-field rates (N = ∞, M finite).
 };
 
-/// Which future event list powers the event-driven backend's hot loop. Both
-/// produce the *exact same* event order (and hence bit-identical episodes):
-/// the calendar queue keeps within-bucket events in (time, id) order, so the
-/// pop sequence matches the heap's tie-broken total order event for event.
-/// See des/calendar_queue.hpp; the epoch-synchronous backend ignores this.
-enum class FelKind {
-    Heap,     ///< indexed binary min-heap: O(log n) per operation.
-    Calendar, ///< calendar queue: amortized O(1) schedule/pop/cancel.
-};
-
 /// Configuration of the finite system (defaults = Table 1).
 struct FiniteSystemConfig {
     QueueParams queue{};        ///< B = 5, α = 1.
@@ -86,12 +76,6 @@ struct FiniteSystemConfig {
     /// Sharded backend only: worker threads for the epoch-parallel phase
     /// (0 = all hardware threads). Never affects results, only wall clock.
     std::size_t threads = 0;
-    /// Event-driven backend only: future-event-list implementation for the
-    /// event loop. Both kinds pop events in the identical (time, id) order,
-    /// so episodes are bit-identical; `Calendar` is amortized O(1) per event
-    /// and the default, `Heap` is the O(log n) baseline (still fastest for
-    /// tiny fleets). The epoch-synchronous backend ignores it.
-    FelKind fel = FelKind::Calendar;
     /// Routing discipline. `Policy` (default) is the paper's decision-rule
     /// path; any classical kind makes the backends ignore the upper-level
     /// policy and route at the job-stream level (see queueing/router.hpp).

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 namespace mflb {
@@ -67,6 +68,9 @@ TEST(EventQueue, CancelRemovesOnlyThatSlot) {
 
 TEST(EventQueue, GuardsMisuse) {
     EXPECT_THROW(EventQueue(0), std::invalid_argument);
+    // Positions are 32-bit with one reserved value; the bound is checked
+    // before any buffer is allocated.
+    EXPECT_THROW(EventQueue(std::size_t{UINT32_MAX}), std::invalid_argument);
     EventQueue fel(2);
     EXPECT_THROW(fel.schedule(2, 1.0), std::invalid_argument);
     EXPECT_THROW(fel.pop(), std::logic_error);
@@ -88,26 +92,74 @@ TEST(EventQueue, ClearEmptiesButKeepsCapacity) {
 }
 
 TEST(EventQueue, RandomizedOperationsMatchReferenceOrdering) {
-    // Fuzz schedule/reschedule/cancel against a brute-force reference; the
-    // drained sequence must come out in exact (time, id) order.
+    // Fuzz schedule / reschedule / cancel / peek / pop / pop_and_reschedule
+    // (at the root and off it) / clear against a brute-force reference: every
+    // observed front, and the final drain, must be the exact (time, id)
+    // minimum of the pending set. Integer-valued times make (time, id) ties
+    // frequent, so the id tie-break is exercised on most pops.
     const std::size_t capacity = 64;
     EventQueue fel(capacity);
     std::vector<double> reference(capacity, -1.0); // -1 = absent
+    const auto reference_front = [&]() {
+        std::pair<double, std::size_t> front{-1.0, capacity};
+        for (std::size_t id = 0; id < capacity; ++id) {
+            if (reference[id] >= 0.0 &&
+                (front.second == capacity || reference[id] < front.first)) {
+                front = {reference[id], id}; // strict <: the lowest id wins a tie.
+            }
+        }
+        return front;
+    };
+    const auto pending = [&reference]() {
+        return static_cast<std::size_t>(
+            std::count_if(reference.begin(), reference.end(), [](double t) { return t >= 0.0; }));
+    };
     Rng rng(99);
-    for (int op = 0; op < 5000; ++op) {
+    for (int op = 0; op < 20000; ++op) {
         const auto id = static_cast<std::size_t>(rng.uniform_below(capacity));
         const double coin = rng.uniform();
-        if (coin < 0.6) {
-            const double time = rng.uniform(0.0, 100.0);
+        const auto time = static_cast<double>(rng.uniform_below(48));
+        if (coin < 0.4) {
             fel.schedule(id, time);
             reference[id] = time;
-        } else if (coin < 0.8) {
-            EXPECT_EQ(fel.cancel(id), reference[id] >= 0.0);
+        } else if (coin < 0.5) {
+            ASSERT_EQ(fel.cancel(id), reference[id] >= 0.0);
             reference[id] = -1.0;
-        } else if (reference[id] >= 0.0) {
-            EXPECT_TRUE(fel.contains(id));
-            EXPECT_DOUBLE_EQ(fel.time_of(id), reference[id]);
+        } else if (coin < 0.65) {
+            const auto [front_time, front_id] = reference_front();
+            ASSERT_EQ(fel.empty(), front_id == capacity);
+            if (front_id != capacity) {
+                const EventQueue::Event event = coin < 0.58 ? fel.peek() : fel.pop();
+                ASSERT_EQ(event.id, front_id) << "op " << op;
+                ASSERT_EQ(event.time, front_time) << "op " << op; // bitwise.
+                if (coin >= 0.58) {
+                    reference[front_id] = -1.0;
+                }
+            }
+        } else if (coin < 0.8) {
+            // The event loop's fast path: reschedule the just-peeked front.
+            if (!fel.empty()) {
+                const EventQueue::Event top = fel.peek();
+                fel.pop_and_reschedule(top.id, top.time + time);
+                reference[top.id] = top.time + time;
+            }
+        } else if (coin < 0.85) {
+            if (reference[id] >= 0.0) { // off-root: may sift either way.
+                fel.pop_and_reschedule(id, time);
+                reference[id] = time;
+            } else {
+                ASSERT_THROW(fel.pop_and_reschedule(id, time), std::logic_error);
+            }
+        } else if (coin < 0.851) {
+            fel.clear();
+            std::fill(reference.begin(), reference.end(), -1.0);
+        } else {
+            ASSERT_EQ(fel.contains(id), reference[id] >= 0.0);
+            if (reference[id] >= 0.0) {
+                ASSERT_EQ(fel.time_of(id), reference[id]);
+            }
         }
+        ASSERT_EQ(fel.size(), pending()) << "op " << op;
     }
     std::vector<std::pair<double, std::size_t>> expected;
     for (std::size_t id = 0; id < capacity; ++id) {
@@ -119,9 +171,10 @@ TEST(EventQueue, RandomizedOperationsMatchReferenceOrdering) {
     ASSERT_EQ(fel.size(), expected.size());
     for (const auto& [time, id] : expected) {
         const EventQueue::Event event = fel.pop();
-        EXPECT_DOUBLE_EQ(event.time, time);
+        EXPECT_EQ(event.time, time);
         EXPECT_EQ(event.id, id);
     }
+    EXPECT_TRUE(fel.empty());
 }
 
 // ---------------------------------------------------------------------------

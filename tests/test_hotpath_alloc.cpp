@@ -73,61 +73,36 @@ TEST(HotPathAllocations, FiniteSystemStepWithRulePerClientAndInfinite) {
 constexpr std::size_t kShardCounts[] = {1, 4};
 
 TEST(HotPathAllocations, ShardedDesStepWithRuleAllClientModels) {
+    // The shard FEL grows its heap array by push_back within the capacity
+    // reserved at construction, so the event loop never allocates, with or
+    // without the per-job timestamp/P² path.
     for (const ClientModel model :
          {ClientModel::Aggregated, ClientModel::PerClient, ClientModel::InfiniteClients}) {
         for (const std::size_t shards : kShardCounts) {
-            FiniteSystemConfig config;
-            config.num_queues = 50;
-            config.num_clients = 2500;
-            config.dt = 2.0;
-            config.horizon = 1 << 20;
-            config.client_model = model;
-            config.shards = shards;
-            config.threads = 1;
-            config.track_sojourn = true; // cover the per-job timestamp/P² path too
-            ShardedDesSystem system(config);
-            Rng rng(5);
-            system.reset(rng);
-            const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
+            for (const bool sojourn : {false, true}) {
+                FiniteSystemConfig config;
+                config.num_queues = 50;
+                config.num_clients = 2500;
+                config.dt = 2.0;
+                config.horizon = 1 << 20;
+                config.client_model = model;
+                config.shards = shards;
+                config.threads = 1;
+                config.track_sojourn = sojourn;
+                ShardedDesSystem system(config);
+                Rng rng(5);
+                system.reset(rng);
+                const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
 
-            (void)system.step_with_rule(h, rng); // warmup
-            const std::size_t before = counting_allocator::count();
-            for (int i = 0; i < 50; ++i) {
-                (void)system.step_with_rule(h, rng);
+                (void)system.step_with_rule(h, rng); // warmup
+                const std::size_t before = counting_allocator::count();
+                for (int i = 0; i < 50; ++i) {
+                    (void)system.step_with_rule(h, rng);
+                }
+                EXPECT_EQ(counting_allocator::count() - before, 0u)
+                    << "client model " << static_cast<int>(model) << ", K=" << shards
+                    << ", sojourn " << sojourn;
             }
-            EXPECT_EQ(counting_allocator::count() - before, 0u)
-                << "client model " << static_cast<int>(model) << ", K=" << shards;
-        }
-    }
-}
-
-TEST(HotPathAllocations, ShardedDesStepAllocationFreeUnderBothFelKinds) {
-    // The FEL seam must not change the steady-state allocation contract:
-    // heap and calendar (including the calendar's epoch-barrier retunes,
-    // whose width-change rebuilds reuse the preallocated scratch buffer)
-    // both run the event loop without touching the heap allocator.
-    for (const FelKind kind : {FelKind::Heap, FelKind::Calendar}) {
-        for (const std::size_t shards : kShardCounts) {
-            FiniteSystemConfig config;
-            config.num_queues = 50;
-            config.num_clients = 2500;
-            config.dt = 2.0;
-            config.horizon = 1 << 20;
-            config.fel = kind;
-            config.shards = shards;
-            config.threads = 1;
-            ShardedDesSystem system(config);
-            Rng rng(5);
-            system.reset(rng);
-            const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
-
-            (void)system.step_with_rule(h, rng); // warmup
-            const std::size_t before = counting_allocator::count();
-            for (int i = 0; i < 50; ++i) {
-                (void)system.step_with_rule(h, rng);
-            }
-            EXPECT_EQ(counting_allocator::count() - before, 0u)
-                << "fel kind " << static_cast<int>(kind) << ", K=" << shards;
         }
     }
 }
@@ -336,39 +311,17 @@ TEST(HotPathAllocations, ShardedEpisodeWithTelemetryAddsNoAllocations) {
 }
 
 TEST(HotPathAllocations, EventQueueOperationsAfterConstruction) {
+    // pop / schedule / reschedule / cancel / pop_and_reschedule, and a
+    // clear followed by a refill to full capacity, stay within the heap
+    // array reserved at construction.
     EventQueue fel(128);
     Rng rng(9);
+    const std::size_t before = counting_allocator::count();
     for (std::size_t id = 0; id < 128; ++id) {
         fel.schedule(id, rng.uniform());
     }
-    const std::size_t before = counting_allocator::count();
     for (int round = 0; round < 1000; ++round) {
         const EventQueue::Event event = fel.pop();
-        fel.schedule(event.id, event.time + rng.uniform());
-        fel.schedule(static_cast<std::size_t>(rng.uniform_below(128)),
-                     event.time + rng.uniform()); // reschedule path
-        if (round % 7 == 0) {
-            const auto victim = static_cast<std::size_t>(rng.uniform_below(128));
-            if (fel.cancel(victim)) {
-                fel.schedule(victim, event.time + 1.0);
-            }
-        }
-    }
-    EXPECT_EQ(counting_allocator::count() - before, 0u);
-}
-
-TEST(HotPathAllocations, CalendarQueueOperationsAfterConstruction) {
-    // Same contract as the heap FEL: pop / schedule / reschedule / cancel —
-    // and the epoch-barrier retune, when the day array needs no growth —
-    // are allocation-free after construction.
-    CalendarQueue fel(128, 2.0);
-    Rng rng(9);
-    for (std::size_t id = 0; id < 128; ++id) {
-        fel.schedule(id, rng.uniform());
-    }
-    const std::size_t before = counting_allocator::count();
-    for (int round = 0; round < 1000; ++round) {
-        const CalendarQueue::Event event = fel.pop();
         fel.schedule(event.id, event.time + rng.uniform());
         fel.schedule(static_cast<std::size_t>(rng.uniform_below(128)),
                      event.time + rng.uniform()); // reschedule path
@@ -379,8 +332,11 @@ TEST(HotPathAllocations, CalendarQueueOperationsAfterConstruction) {
                 fel.schedule(victim, event.time + 1.0);
             }
         }
-        if (round % 100 == 99) {
-            fel.retune(); // width-change rebuilds reuse the scratch buffer.
+        if (round % 250 == 249) {
+            fel.clear();
+            for (std::size_t id = 0; id < 128; ++id) {
+                fel.schedule(id, event.time + rng.uniform());
+            }
         }
     }
     EXPECT_EQ(counting_allocator::count() - before, 0u);

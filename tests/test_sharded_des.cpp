@@ -139,6 +139,32 @@ TEST(ShardedDesSystem, ConservesJobsAndCountsEveryEpoch) {
     }
 }
 
+TEST(ShardedDesSystem, ShardWithoutRoutingMassReceivesNoArrivals) {
+    // One client routes each epoch's whole arrival stream to a single queue,
+    // so with one queue per shard every other shard has no routing mass and
+    // its arrival timer must stay parked: a timer left over from an epoch in
+    // which the shard had mass would add jobs to a queue nobody routes to.
+    FiniteSystemConfig config = small_config(ClientModel::PerClient, 8, 0.5, 200);
+    config.num_queues = 8;
+    config.num_clients = 1;
+    ShardedDesSystem system(config);
+    const DecisionRule h = DecisionRule::mf_jsq(system.tuple_space());
+    Rng rng(11);
+    system.reset(rng);
+    std::uint64_t accepted = 0;
+    while (!system.done()) {
+        const std::vector<int> before = system.queue_states();
+        accepted += system.step_with_rule(h, rng).accepted_packets;
+        const auto& after = system.queue_states();
+        int gained = 0;
+        for (std::size_t j = 0; j < after.size(); ++j) {
+            gained += after[j] > before[j] ? 1 : 0;
+        }
+        ASSERT_LE(gained, 1);
+    }
+    EXPECT_GT(accepted, 0u);
+}
+
 TEST(ShardedDesSystem, ConditionedReplayPinsTheLambdaPath) {
     FiniteSystemConfig config = small_config(ClientModel::InfiniteClients, 3);
     config.horizon = 10;
