@@ -256,10 +256,11 @@ int main(int argc, char** argv) {
             sojourn_weighted += stats.mean_sojourn * static_cast<double>(stats.completed_jobs);
         }
         timings.record("des_sojourn_episode_M=10000", watch.seconds());
+        const LogLinearHistogram sojourn = system.sojourn_histogram();
         std::printf("sojourn times at M=10^4 (%llu completed jobs):\n"
                     "  p50 %.3f   p95 %.3f   p99 %.3f   mean %.3f\n",
-                    static_cast<unsigned long long>(completed), system.sojourn_p50(),
-                    system.sojourn_p95(), system.sojourn_p99(),
+                    static_cast<unsigned long long>(completed), sojourn.quantile(0.50),
+                    sojourn.quantile(0.95), sojourn.quantile(0.99),
                     completed > 0 ? sojourn_weighted / static_cast<double>(completed) : 0.0);
     }
 

@@ -85,9 +85,10 @@ void BM_FelHoldHeapFused(benchmark::State& state) {
 }
 BENCHMARK(BM_FelHoldHeapFused)->Arg(10000)->Arg(100000);
 
-// Operation mix: 70% hold transactions, 20% reschedules of a random slot,
-// 10% cancel + re-insert — the FEL's full operation surface under one
-// deterministic stream.
+// Operation mix: 70% hold transactions (pop + schedule), 30% reschedules of
+// a random pending slot, mostly off the root — the FEL's full operation
+// surface under one deterministic stream (the fused root case is
+// BM_FelHoldHeapFused).
 void BM_FelMixedHeap(benchmark::State& state) {
     const auto n = static_cast<std::size_t>(state.range(0));
     EventQueue fel(n);
@@ -101,14 +102,9 @@ void BM_FelMixedHeap(benchmark::State& state) {
         if (coin < 0.7) {
             const auto event = fel.pop();
             fel.schedule(event.id, event.time + rng.exponential(1.0));
-        } else if (coin < 0.9) {
-            const auto id = static_cast<std::size_t>(rng.uniform_below(n));
-            fel.schedule(id, fel.peek().time + rng.exponential(1.0));
         } else {
             const auto id = static_cast<std::size_t>(rng.uniform_below(n));
-            const double t = fel.peek().time + rng.exponential(1.0);
-            fel.cancel(id);
-            fel.schedule(id, t);
+            fel.pop_and_reschedule(id, fel.peek().time + rng.exponential(1.0));
         }
     }
     state.SetItemsProcessed(state.iterations());

@@ -56,8 +56,8 @@ EvaluationResult evaluate_finite(const FiniteSystemConfig& config, const UpperLe
                                  std::size_t threads = 0);
 
 /// Per-job sojourn-time summary across DES replications: episode-level
-/// means/percentiles (each episode's streaming P² estimate) aggregated into
-/// 95% CIs. Only the event-driven backend can report these.
+/// means/percentiles (each episode's cross-shard-merged sojourn histogram)
+/// aggregated into 95% CIs. Only the event-driven backend can report these.
 struct SojournSummary {
     ConfidenceInterval mean;
     ConfidenceInterval p50;
@@ -72,7 +72,7 @@ struct SojournSummary {
 /// guard of `parallel_for` serializes the inner level when both are active.
 /// When `sojourn` is non-null, per-job sojourn tracking is enabled
 /// (regardless of config.track_sojourn) and the summary of the per-episode
-/// cross-shard `P2Quantile` merges is filled in.
+/// percentiles of `ShardedDesSystem::sojourn_histogram` is filled in.
 EvaluationResult evaluate_sharded_des(const FiniteSystemConfig& config,
                                       const UpperLevelPolicy& policy, std::size_t episodes,
                                       std::uint64_t seed, std::size_t threads = 0,

@@ -24,25 +24,12 @@ EventQueue::EventQueue(std::size_t capacity) : pos_(checked_capacity(capacity), 
     heap_.reserve(capacity);
 }
 
-double EventQueue::time_of(std::size_t id) const {
-    if (!contains(id)) {
-        throw std::logic_error("EventQueue::time_of: slot has no pending event");
-    }
-    return heap_[pos_[id]].time;
-}
-
 void EventQueue::schedule(std::size_t id, double time) {
     if (id >= pos_.size()) {
         throw std::invalid_argument("EventQueue::schedule: id out of range");
     }
-    const std::uint32_t i = pos_[id];
-    if (i != kAbsent) {
-        // Reschedule in place: move the entry, then restore the heap order
-        // in whichever direction the new key requires.
-        heap_[i].time = time;
-        sift_up(i);
-        sift_down(pos_[id]);
-        return;
+    if (pos_[id] != kAbsent) {
+        throw std::logic_error("EventQueue::schedule: slot already has a pending event");
     }
     const std::size_t last = heap_.size();
     heap_.push_back({time, id}); // within the reserved capacity: no allocation.
@@ -50,16 +37,8 @@ void EventQueue::schedule(std::size_t id, double time) {
     sift_up(last);
 }
 
-bool EventQueue::cancel(std::size_t id) noexcept {
-    if (!contains(id)) {
-        return false;
-    }
-    remove_at(pos_[id]);
-    return true;
-}
-
 void EventQueue::pop_and_reschedule(std::size_t id, double time) {
-    if (!contains(id)) {
+    if (!pending(id)) {
         throw std::logic_error(
             "EventQueue::pop_and_reschedule: slot has no pending event");
     }
@@ -81,7 +60,14 @@ EventQueue::Event EventQueue::pop() {
         throw std::logic_error("EventQueue::pop: queue is empty");
     }
     const Event top = heap_[0];
-    remove_at(0);
+    pos_[top.id] = kAbsent;
+    const Event last = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) {
+        heap_[0] = last;
+        pos_[last.id] = 0;
+        sift_down(0);
+    }
     return top;
 }
 
@@ -125,19 +111,6 @@ void EventQueue::sift_down(std::size_t i) noexcept {
         pos_[heap_[smallest].id] = static_cast<std::uint32_t>(smallest);
         i = smallest;
     }
-}
-
-void EventQueue::remove_at(std::size_t i) noexcept {
-    pos_[heap_[i].id] = kAbsent;
-    const Event last = heap_.back();
-    heap_.pop_back();
-    if (i == heap_.size()) {
-        return; // removed the last entry; nothing to re-order.
-    }
-    heap_[i] = last;
-    pos_[last.id] = static_cast<std::uint32_t>(i);
-    sift_up(i);
-    sift_down(pos_[last.id]);
 }
 
 } // namespace mflb

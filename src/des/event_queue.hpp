@@ -2,7 +2,8 @@
 /// Future event list (FEL) of the discrete-event simulation engine: an
 /// *indexed* binary min-heap of (time, slot id) pairs. Indexing by a dense
 /// slot id — one slot per schedulable event source, e.g. one per queue's
-/// departure — gives O(log n) scheduling, rescheduling and cancellation.
+/// departure — gives O(log n) scheduling, popping and rescheduling of a
+/// pending slot.
 ///
 /// Memory: the id -> heap-position index costs 4 B resident per slot; the
 /// heap array is reserved for every slot up front but only touched up to the
@@ -35,19 +36,11 @@ public:
     std::size_t size() const noexcept { return heap_.size(); }
     bool empty() const noexcept { return heap_.empty(); }
 
-    /// True if slot `id` currently has a pending event.
-    bool contains(std::size_t id) const noexcept {
-        return id < pos_.size() && pos_[id] != kAbsent;
-    }
-    /// Scheduled time of slot `id`; throws std::logic_error if absent.
-    double time_of(std::size_t id) const;
-
-    /// Schedules (or, if already pending, *reschedules*) slot `id` at `time`.
-    /// Throws std::invalid_argument on an out-of-range id.
+    /// Schedules the *absent* slot `id` at `time`. Throws
+    /// std::invalid_argument on an out-of-range id and std::logic_error if
+    /// the slot already has a pending event (move it with
+    /// `pop_and_reschedule`).
     void schedule(std::size_t id, double time);
-
-    /// Removes the pending event of slot `id`; returns false if none.
-    bool cancel(std::size_t id) noexcept;
 
     /// Reschedules the *pending* slot `id` at `time` — the pop-then-schedule
     /// pattern of a queue that stays busy after a departure, collapsed into
@@ -73,9 +66,11 @@ private:
         return a.time < b.time || (a.time == b.time && a.id < b.id);
     }
 
+    bool pending(std::size_t id) const noexcept {
+        return id < pos_.size() && pos_[id] != kAbsent;
+    }
     void sift_up(std::size_t i) noexcept;
     void sift_down(std::size_t i) noexcept;
-    void remove_at(std::size_t i) noexcept;
 
     std::vector<Event> heap_;        ///< the heap; capacity reserved up front.
     std::vector<std::uint32_t> pos_; ///< id -> heap index (kAbsent if none).

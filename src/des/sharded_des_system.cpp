@@ -164,6 +164,9 @@ ShardedDesSystem::ShardedDesSystem(FiniteSystemConfig config)
     }
     if (config_.track_sojourn) {
         jobs_ = JobTimestampSlab(m, config_.queue.buffer);
+        for (Shard& shard : shards_) {
+            shard.sojourn = std::make_unique<LogLinearHistogram>();
+        }
     }
     telemetry_series_ = "sharded_epoch";
     if (config_.telemetry != nullptr) {
@@ -196,9 +199,10 @@ void ShardedDesSystem::append_epoch_telemetry(MetricsRow& row) {
     }
     row.push_int("qlen_max", static_cast<std::int64_t>(hi - 1));
     if (config_.track_sojourn) {
-        row.push("sojourn_p50", merged_quantile(0));
-        row.push("sojourn_p95", merged_quantile(1));
-        row.push("sojourn_p99", merged_quantile(2));
+        const DesEpisodeStats sojourn = with_sojourn_percentiles({});
+        row.push("sojourn_p50", sojourn.sojourn_p50);
+        row.push("sojourn_p95", sojourn.sojourn_p95);
+        row.push("sojourn_p99", sojourn.sojourn_p99);
     }
     row.push_int("shards", static_cast<std::int64_t>(shards_.size()));
     // The barrier profile rides the registry (appended after this hook), so
@@ -221,8 +225,6 @@ void ShardedDesSystem::reset(Rng& rng) {
 
     std::fill(state_counts_.begin(), state_counts_.end(), 0);
     state_hi_ = state_counts_.size();
-    epochs_run_ = 0;
-    merged_for_ = ~std::uint64_t{0};
     profile_ = BarrierProfile{};
     policy_scratches_.clear();
     for (std::size_t s = 0; s < shards_.size(); ++s) {
@@ -237,7 +239,9 @@ void ShardedDesSystem::reset(Rng& rng) {
         shard.busy_queues = 0;
         shard.cursor = 0.0;
         shard.rr_next = 0;
-        shard.sojourn.reset();
+        if (shard.sojourn) {
+            shard.sojourn->clear();
+        }
         for (std::size_t j = shard.begin; j < shard.end; ++j) {
             const int z = queues_[j];
             ++shard.state_counts[static_cast<std::size_t>(z)];
@@ -544,7 +548,7 @@ void ShardedDesSystem::handle_departure(Shard& shard, std::size_t local_id, doub
         const double sojourn = jobs_.row(j).pop(t);
         shard.stats.mean_sojourn += sojourn; // running sum; divided in reduce.
         ++shard.stats.completed_jobs;
-        shard.sojourn.record(sojourn);
+        shard.sojourn->add(sojourn);
     }
     if (queues_[j] > 0) {
         // The departure event is still at the FEL front; move it to the next
@@ -817,7 +821,6 @@ EpochStats ShardedDesSystem::run_epoch(Prologue&& prologue, Rng& rng) {
     profile_.parallel_seconds += std::chrono::duration<double>(t2 - t1).count();
     profile_.reduction_seconds += seconds_since(t2);
     ++profile_.epochs;
-    ++epochs_run_; // invalidates the merged-quantile cache.
     return stats;
 }
 
@@ -885,38 +888,35 @@ UpperLevelPolicy::Scratch* ShardedDesSystem::scratch_for(const UpperLevelPolicy&
 }
 
 DesEpisodeStats ShardedDesSystem::run_episode(const UpperLevelPolicy& policy, Rng& rng) {
-    DesEpisodeStats stats;
-    static_cast<EpisodeStats&>(stats) =
-        run_episode_loop(config_.discount, [&] { return step(policy, rng); });
-    stats.sojourn_p50 = sojourn_p50();
-    stats.sojourn_p95 = sojourn_p95();
-    stats.sojourn_p99 = sojourn_p99();
-    return stats;
+    return with_sojourn_percentiles(
+        run_episode_loop(config_.discount, [&] { return step(policy, rng); }));
 }
 
 DesEpisodeStats ShardedDesSystem::run_episode(Rng& rng) {
+    return with_sojourn_percentiles(
+        run_episode_loop(config_.discount, [&] { return step_router(rng); }));
+}
+
+DesEpisodeStats ShardedDesSystem::with_sojourn_percentiles(const EpisodeStats& episode) const {
     DesEpisodeStats stats;
-    static_cast<EpisodeStats&>(stats) =
-        run_episode_loop(config_.discount, [&] { return step_router(rng); });
-    stats.sojourn_p50 = sojourn_p50();
-    stats.sojourn_p95 = sojourn_p95();
-    stats.sojourn_p99 = sojourn_p99();
+    static_cast<EpisodeStats&>(stats) = episode;
+    if (config_.track_sojourn) {
+        const LogLinearHistogram sojourn = sojourn_histogram();
+        stats.sojourn_p50 = sojourn.quantile(0.50);
+        stats.sojourn_p95 = sojourn.quantile(0.95);
+        stats.sojourn_p99 = sojourn.quantile(0.99);
+    }
     return stats;
 }
 
-double ShardedDesSystem::merged_quantile(int which) const {
-    if (merged_for_ != epochs_run_) {
-        // One pass over the shards merges all three percentiles (same
-        // per-quantile merge order as the historical per-call loops, so the
-        // cached values are identical); re-merged only after a new epoch.
-        SojournRecorder merged;
-        for (const Shard& shard : shards_) {
-            merged.merge(shard.sojourn);
+LogLinearHistogram ShardedDesSystem::sojourn_histogram() const {
+    LogLinearHistogram merged;
+    for (const Shard& shard : shards_) {
+        if (shard.sojourn) {
+            merged.merge(*shard.sojourn);
         }
-        merged_q_ = {merged.p50(), merged.p95(), merged.p99()};
-        merged_for_ = epochs_run_;
     }
-    return merged_q_[static_cast<std::size_t>(which)];
+    return merged;
 }
 
 void ShardedDesSystem::observed_distribution_into(Rng& rng, std::vector<double>& out) const {

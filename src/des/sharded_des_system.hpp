@@ -10,7 +10,7 @@
 /// pays per *event* (arrival / departure) on its own future event list, so
 /// simulation cost follows the actual traffic, and because every job is an
 /// individual event the backend reports exact per-job sojourn times and
-/// their streaming p50/p95/p99. K = 1 is the plain single-FEL simulator.
+/// their p50/p95/p99 from one log-linear histogram per shard. K = 1 is the plain single-FEL simulator.
 ///
 /// Why this is exact and not an approximation: the paper's whole premise is
 /// that routing decisions are made on Δt-stale information — within a
@@ -83,7 +83,6 @@
 #include "support/rng.hpp"
 #include "support/statistics.hpp"
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -93,8 +92,8 @@
 namespace mflb {
 
 /// Episode summary of the event-driven simulator: the shared episode stats
-/// plus the streaming sojourn-time percentiles only a per-job simulation can
-/// report (0 unless `track_sojourn` is set and jobs completed).
+/// plus the sojourn-time percentiles only a per-job simulation can report
+/// (0 unless `track_sojourn` is set and jobs completed).
 struct DesEpisodeStats : EpisodeStats {
     double sojourn_p50 = 0.0;
     double sojourn_p95 = 0.0;
@@ -148,19 +147,20 @@ public:
     /// router configured the policy is ignored (forwards to step_router).
     EpochStats step(const UpperLevelPolicy& policy, Rng& rng);
 
-    /// Full episode from reset state, with cross-shard-merged sojourn
-    /// percentiles attached (`P2Quantile::merge` in fixed shard order).
+    /// Full episode from reset state, with the sojourn percentiles of the
+    /// cross-shard-merged histogram attached.
     DesEpisodeStats run_episode(const UpperLevelPolicy& policy, Rng& rng);
     /// Router-only episode (requires a classical router configured).
     DesEpisodeStats run_episode(Rng& rng);
 
-    /// Streaming sojourn percentile estimates so far (track_sojourn only),
-    /// merged across shards. One shard pass merges all three percentiles and
-    /// is cached per epoch, so reading p50/p95/p99 back to back costs a
-    /// single merge instead of three.
-    double sojourn_p50() const { return merged_quantile(0); }
-    double sojourn_p95() const { return merged_quantile(1); }
-    double sojourn_p99() const { return merged_quantile(2); }
+    /// Sojourn times of every job completed since the last reset, summed
+    /// over the shards' histograms (exact integer merge; empty unless
+    /// `track_sojourn`). A percentile of sojourns in [2^-20, 2^20) is within
+    /// 2^-7 relative error of the exact nearest-rank sample quantile.
+    LogLinearHistogram sojourn_histogram() const;
+    /// p99 of `sojourn_histogram()` (one merge; read p50/p95/p99 together
+    /// from `sojourn_histogram()` or `DesEpisodeStats`).
+    double sojourn_p99() const { return sojourn_histogram().quantile(0.99); }
 
     /// Cumulative wall-clock split of the epoch since the last reset — the
     /// Amdahl accounting that `bench_des_scale` reports. Three components:
@@ -185,8 +185,9 @@ protected:
     /// Grows the registry's slot lanes to K and registers the per-shard
     /// event counter plus the barrier-profile gauges.
     void on_telemetry_attached() override;
-    /// Queue-length summary from the reduced histogram, cross-shard-merged
-    /// sojourn percentiles, and the cumulative barrier profile.
+    /// Queue-length summary from the reduced histogram, sojourn percentiles
+    /// of the cross-shard-merged histogram, and the cumulative barrier
+    /// profile.
     void append_epoch_telemetry(MetricsRow& row) override;
 
 private:
@@ -220,9 +221,9 @@ private:
         double busy_area = 0.0;           ///< ∫ #busy dτ within the epoch.
         EpochStats stats;                 ///< this epoch's local counters.
         std::size_t rr_next = 0;          ///< shard-local round-robin cursor.
-        SojournRecorder sojourn;          ///< local sojourn percentiles
-                                          ///< (track_sojourn only; merged
-                                          ///< across shards on demand).
+        /// Local sojourn times; null unless track_sojourn, so shards of an
+        /// untracked fleet stay small. Merged across shards on read.
+        std::unique_ptr<LogLinearHistogram> sojourn;
         // Class sampler (InfiniteClients without a router), kept after the
         // fields every model's event loop touches: local ids grouped by
         // snapshot class, members[class_begin[z] .. class_begin[z+1]) in
@@ -329,7 +330,9 @@ private:
         return config_.server_speeds.empty() ? s : s / config_.server_speeds[j];
     }
 
-    double merged_quantile(int which) const;
+    /// `episode` with p50/p95/p99 of one `sojourn_histogram()` merge (0
+    /// unless track_sojourn).
+    DesEpisodeStats with_sojourn_percentiles(const EpisodeStats& episode) const;
     /// `observed_distribution` into a reusable buffer (identical draws).
     void observed_distribution_into(Rng& rng, std::vector<double>& out) const;
 
@@ -390,12 +393,6 @@ private:
     // flat M×B timestamp store whose row j is touched only by the shard
     // owning queue j.
     JobTimestampSlab jobs_;
-
-    // Epoch-keyed cache of the cross-shard sojourn percentiles: one merge
-    // pass fills all three; invalidated by advancing an epoch or resetting.
-    std::uint64_t epochs_run_ = 0;
-    mutable std::array<double, 3> merged_q_{};
-    mutable std::uint64_t merged_for_ = ~std::uint64_t{0};
 
     BarrierProfile profile_;
 

@@ -103,40 +103,6 @@ private:
     unsigned capacity_ = 0;        ///< B.
 };
 
-/// The three streaming sojourn percentiles (p50/p95/p99) the event-driven
-/// backend reports, behind a single `record` call — so the per-departure
-/// hot path pays one `track_sojourn` branch (the caller's) instead of
-/// three, and resets/merges stay one statement. Plain value type: fixed
-/// size, allocation-free, copyable (the counting-allocator tests cover the
-/// departure path that uses it).
-class SojournRecorder {
-public:
-    /// Feeds one completed job's sojourn into all three estimators.
-    void record(double sojourn) noexcept {
-        p50_.add(sojourn);
-        p95_.add(sojourn);
-        p99_.add(sojourn);
-    }
-    /// Folds another recorder's stream into this one (fixed shard order in
-    /// the sharded backend's cross-shard merge).
-    void merge(const SojournRecorder& other) {
-        p50_.merge(other.p50_);
-        p95_.merge(other.p95_);
-        p99_.merge(other.p99_);
-    }
-    /// Discards every observation (fresh estimators).
-    void reset() { *this = SojournRecorder{}; }
-
-    double p50() const noexcept { return p50_.value(); }
-    double p95() const noexcept { return p95_.value(); }
-    double p99() const noexcept { return p99_.value(); }
-
-private:
-    P2Quantile p50_{0.5};
-    P2Quantile p95_{0.95};
-    P2Quantile p99_{0.99};
-};
-
 /// Epoch result extended with sojourn samples.
 struct SojournEpochResult {
     QueueEpochResult queue;           ///< the usual drop/arrival counters.

@@ -7,10 +7,11 @@
 /// regions / error bars of Figures 4-6.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
 #include <span>
-#include <string>
-#include <vector>
 
 namespace mflb {
 
@@ -62,60 +63,75 @@ double mean_of(std::span<const double> xs) noexcept;
 /// Unbiased sample variance.
 double variance_of(std::span<const double> xs) noexcept;
 
-/// Streaming quantile estimator — the P² algorithm of Jain & Chlamtac
-/// (CACM 1985): five markers track the target quantile with O(1) memory and
-/// O(1) update cost, no sample storage and no allocation. This is how the
-/// event-driven simulator reports p50/p95/p99 sojourn times over millions of
-/// jobs without keeping them. Exact (sorted-buffer) for the first five
-/// observations, approximate afterwards; accuracy is excellent for smooth
-/// distributions and degrades gracefully for heavy tails.
-class P2Quantile {
+/// Log-linear histogram with a fixed layout (HDR-style): a value's bucket is
+/// its binary exponent plus the top `kMantissaBits` bits of its mantissa,
+/// read straight from the IEEE-754 bits. Every octave [2^e, 2^(e+1)) thus
+/// splits into 64 equal-width buckets, each at most 2^-6 of its lower edge
+/// wide, and `quantile` returns the midpoint of the bucket that holds the
+/// nearest-rank sample: a relative error of at most 2^-7 for in-range
+/// values. Counts are integers, so `merge` is exact: merging any split of a
+/// stream, in any order, gives a histogram bit-identical to one fed the
+/// whole stream. This is how the event-driven simulator reports p50/p95/p99
+/// sojourn times over millions of jobs without keeping them.
+///
+/// The exponent range is a compile-time constant. Values below
+/// 2^kMinExponent (zero, negatives and NaN included) count in the lowest
+/// bucket, and values at or above 2^(kMaxExponent + 1) (+inf included) in
+/// the highest, so their quantile reads that edge bucket's midpoint. Fixed
+/// size (`kBuckets` counters inline); nothing allocates.
+class LogLinearHistogram {
 public:
-    /// \param p target quantile in (0, 1), e.g. 0.95.
-    explicit P2Quantile(double p);
+    static constexpr int kMantissaBits = 6;
+    static constexpr int kMinExponent = -20; ///< lowest bucket starts at 2^-20 ≈ 9.5e-7.
+    static constexpr int kMaxExponent = 19;  ///< highest octave ends at 2^20 ≈ 1.05e6.
+    static constexpr std::size_t kBuckets =
+        static_cast<std::size_t>(kMaxExponent - kMinExponent + 1) << kMantissaBits;
 
-    void add(double x) noexcept;
-    /// Folds another estimator of the *same* target quantile into this one
-    /// (parallel reduction across shards/replications). Exact while the
-    /// combined stream still fits the five-sample buffer; beyond that the
-    /// merged markers are re-derived by inverting the count-weighted mixture
-    /// of the two piecewise-linear marker CDFs at the P² desired positions,
-    /// so the result tracks the quantile of the concatenated stream (tested
-    /// against exact sample quantiles). Throws std::invalid_argument if the
-    /// two estimators target different quantiles.
-    void merge(const P2Quantile& other);
-    std::size_t count() const noexcept { return count_; }
-    double quantile() const noexcept { return p_; }
-    /// Current estimate of the p-quantile; 0 before any observation.
-    double value() const noexcept;
+    /// Counts one observation: one increment.
+    void add(double x) noexcept { ++counts_[bucket_of(x)]; }
+    /// Adds `other`'s counts bucket by bucket (exact, order-independent).
+    void merge(const LogLinearHistogram& other) noexcept;
+    /// Discards every observation.
+    void clear() noexcept { counts_.fill(0); }
+
+    /// Number of observations.
+    std::uint64_t count() const noexcept;
+    /// Midpoint of the bucket holding the nearest-rank p-quantile, i.e. the
+    /// sample of 1-based rank max(1, ⌈p·n⌉); 0 when empty. Throws
+    /// std::invalid_argument unless 0 <= p <= 1.
+    double quantile(double p) const;
+
+    /// Index of the bucket `x` counts in.
+    static std::size_t bucket_of(double x) noexcept {
+        if (!(x >= kLowest)) {
+            return 0;
+        }
+        if (x >= kPastHighest) {
+            return kBuckets - 1;
+        }
+        return static_cast<std::size_t>((std::bit_cast<std::uint64_t>(x) >> kKeyShift) -
+                                        kFirstKey);
+    }
+    /// Bucket b covers [bucket_lower(b), bucket_lower(b + 1)) (b <= kBuckets).
+    static double bucket_lower(std::size_t b) noexcept {
+        return std::bit_cast<double>((kFirstKey + b) << kKeyShift);
+    }
+    std::uint64_t bucket_count(std::size_t b) const { return counts_.at(b); }
+
+    bool operator==(const LogLinearHistogram&) const = default;
 
 private:
-    double p_;
-    double heights_[5];   ///< marker heights q_i (the value estimates).
-    double positions_[5]; ///< marker positions n_i (1-based ranks).
-    double desired_[5];   ///< desired positions n'_i.
-    double rate_[5];      ///< dn'_i per observation.
-    std::size_t count_ = 0;
-};
+    /// Dropping the low mantissa bits of a positive double leaves the biased
+    /// exponent and the top kMantissaBits: the bucket key, monotone in x.
+    static constexpr int kKeyShift = 52 - kMantissaBits;
+    static constexpr std::uint64_t kFirstKey = static_cast<std::uint64_t>(kMinExponent + 1023)
+                                               << kMantissaBits;
+    static constexpr double kLowest =
+        std::bit_cast<double>(static_cast<std::uint64_t>(kMinExponent + 1023) << 52);
+    static constexpr double kPastHighest =
+        std::bit_cast<double>(static_cast<std::uint64_t>(kMaxExponent + 1024) << 52);
 
-/// Fixed-width histogram over [lo, hi); values outside clamp to edge bins.
-class Histogram {
-public:
-    Histogram(double lo, double hi, std::size_t bins);
-
-    void add(double x) noexcept;
-    std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-    std::size_t bins() const noexcept { return counts_.size(); }
-    std::size_t total() const noexcept { return total_; }
-    double bin_lower(std::size_t i) const noexcept;
-    /// Renders a compact ASCII bar chart (used by example binaries).
-    std::string ascii(std::size_t width = 40) const;
-
-private:
-    double lo_;
-    double hi_;
-    std::vector<std::size_t> counts_;
-    std::size_t total_ = 0;
+    std::array<std::uint64_t, kBuckets> counts_{};
 };
 
 } // namespace mflb

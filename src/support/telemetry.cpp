@@ -55,26 +55,6 @@ MetricsRegistry::Id MetricsRegistry::gauge(std::string_view name) {
     return static_cast<Id>(gauges_.size() - 1);
 }
 
-MetricsRegistry::Id MetricsRegistry::histogram(std::string_view name) {
-    std::lock_guard lock(register_mutex_);
-    for (std::size_t i = 0; i < hists_.size(); ++i) {
-        if (hists_[i].name == name) {
-            return static_cast<Id>(i);
-        }
-    }
-    Hist h;
-    h.name.assign(name);
-    h.key_p50 = h.name + "_p50";
-    h.key_p95 = h.name + "_p95";
-    h.key_p99 = h.name + "_p99";
-    h.key_count = h.name + "_count";
-    h.p50.assign(slots_, P2Quantile(0.50));
-    h.p95.assign(slots_, P2Quantile(0.95));
-    h.p99.assign(slots_, P2Quantile(0.99));
-    hists_.push_back(std::move(h));
-    return static_cast<Id>(hists_.size() - 1);
-}
-
 void MetricsRegistry::ensure_slots(std::size_t slots) {
     std::lock_guard lock(register_mutex_);
     if (slots <= slots_) {
@@ -84,11 +64,6 @@ void MetricsRegistry::ensure_slots(std::size_t slots) {
     for (Counter& c : counters_) {
         c.lanes.resize(slots_, 0.0);
     }
-    for (Hist& h : hists_) {
-        h.p50.resize(slots_, P2Quantile(0.50));
-        h.p95.resize(slots_, P2Quantile(0.95));
-        h.p99.resize(slots_, P2Quantile(0.99));
-    }
 }
 
 void MetricsRegistry::add(Id counter, double delta, std::size_t slot) noexcept {
@@ -96,13 +71,6 @@ void MetricsRegistry::add(Id counter, double delta, std::size_t slot) noexcept {
 }
 
 void MetricsRegistry::set(Id gauge, double value) noexcept { gauges_[gauge].value = value; }
-
-void MetricsRegistry::observe(Id histogram, double x, std::size_t slot) noexcept {
-    Hist& h = hists_[histogram];
-    h.p50[slot].add(x);
-    h.p95[slot].add(x);
-    h.p99[slot].add(x);
-}
 
 void MetricsRegistry::merge_slots() noexcept {
     for (Counter& c : counters_) {
@@ -120,24 +88,6 @@ double MetricsRegistry::counter_total(Id counter) const noexcept {
 
 double MetricsRegistry::gauge_value(Id gauge) const noexcept { return gauges_[gauge].value; }
 
-double MetricsRegistry::histogram_quantile(Id histogram, int which) const {
-    const Hist& h = hists_[histogram];
-    const std::vector<P2Quantile>& lanes = which == 0 ? h.p50 : which == 1 ? h.p95 : h.p99;
-    P2Quantile merged = lanes[0];
-    for (std::size_t s = 1; s < lanes.size(); ++s) { // ascending slots: fixed order.
-        merged.merge(lanes[s]);
-    }
-    return merged.value();
-}
-
-std::uint64_t MetricsRegistry::histogram_count(Id histogram) const noexcept {
-    std::uint64_t total = 0;
-    for (const P2Quantile& lane : hists_[histogram].p50) {
-        total += lane.count();
-    }
-    return total;
-}
-
 void MetricsRegistry::append_to(MetricsRow& row) const {
     for (std::size_t i = 0; i < counters_.size(); ++i) {
         row.push_int(counters_[i].name.c_str(),
@@ -145,14 +95,6 @@ void MetricsRegistry::append_to(MetricsRow& row) const {
     }
     for (const Gauge& g : gauges_) {
         row.push(g.name.c_str(), g.value);
-    }
-    for (std::size_t i = 0; i < hists_.size(); ++i) {
-        const Hist& h = hists_[i];
-        const Id id = static_cast<Id>(i);
-        row.push(h.key_p50.c_str(), histogram_quantile(id, 0));
-        row.push(h.key_p95.c_str(), histogram_quantile(id, 1));
-        row.push(h.key_p99.c_str(), histogram_quantile(id, 2));
-        row.push_int(h.key_count.c_str(), static_cast<std::int64_t>(histogram_count(id)));
     }
 }
 

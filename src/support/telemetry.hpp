@@ -1,11 +1,11 @@
 /// \file telemetry.hpp
 /// Unified telemetry layer: metrics registry + per-epoch time-series sink.
 ///
-/// `MetricsRegistry` holds named counters, gauges, and P²-backed histograms.
-/// Counters and histograms have one *lane per slot* — a slot is a shard (or
-/// rollout slot, or worker) that updates its own lane wait-free during the
-/// parallel phase; lanes are folded into the totals in fixed ascending slot
-/// order at the epoch barrier (`merge_slots`). Telemetry therefore never
+/// `MetricsRegistry` holds named counters and gauges. Counters have one
+/// *lane per slot* — a slot is a shard (or rollout slot, or worker) that
+/// updates its own lane wait-free during the parallel phase; lanes are
+/// folded into the totals in fixed ascending slot order at the epoch
+/// barrier (`merge_slots`). Telemetry therefore never
 /// consumes RNG draws, never introduces thread-count-dependent reduction
 /// orders, and never perturbs the simulators' determinism contract: golden
 /// trajectories are bit-exact with telemetry on or off, and the emitted
@@ -19,13 +19,12 @@
 /// instrumented code on a single predictable branch.
 ///
 /// Allocation contract: registration, `ensure_slots`, and sink opening
-/// allocate (setup time); `add`/`set`/`observe`/`merge_slots` and steady-state
+/// allocate (setup time); `add`/`set`/`merge_slots` and steady-state
 /// row emission do not (row and line buffers grow to a high-water mark on the
 /// first rows, then are reused) — tests/test_hotpath_alloc.cpp pins this for
 /// the sharded epoch loop with telemetry enabled.
 #pragma once
 
-#include "support/statistics.hpp"
 #include "support/trace.hpp"
 
 #include <cstdint>
@@ -75,8 +74,8 @@ private:
     std::vector<Field> fields_;
 };
 
-/// Named counters, gauges, and histograms with per-slot lanes and a
-/// fixed-serial-order barrier merge. Registration is idempotent by name and
+/// Named counters with per-slot lanes and a fixed-serial-order barrier
+/// merge, plus named gauges. Registration is idempotent by name and
 /// mutex-guarded; updates are wait-free writes to the caller's own lane
 /// (slot s must be updated by at most one thread between merges); `set`,
 /// `merge_slots`, and all reads belong to the serial barrier phase. The
@@ -96,34 +95,26 @@ public:
     Id counter(std::string_view name);
     /// Last-value metric; serial (barrier-phase) writers only.
     Id gauge(std::string_view name);
-    /// Streaming p50/p95/p99 (three P² estimators per lane); cumulative over
-    /// the registry's lifetime, merged across lanes in slot order on read.
-    Id histogram(std::string_view name);
-
-    /// Grows every counter/histogram to at least `slots` lanes (never
+    /// Grows every counter to at least `slots` lanes (never
     /// shrinks). Call before the parallel phase that uses them.
     void ensure_slots(std::size_t slots);
     std::size_t slots() const noexcept { return slots_; }
 
     void add(Id counter, double delta, std::size_t slot = 0) noexcept;
     void set(Id gauge, double value) noexcept;
-    void observe(Id histogram, double x, std::size_t slot = 0) noexcept;
 
     /// Folds every counter's lane deltas into its total, lane 0 first —
     /// the fixed serial reduction order that makes the series thread-count
-    /// invariant. Histogram lanes stay put (they merge on read).
+    /// invariant.
     void merge_slots() noexcept;
 
     /// Total after the last merge_slots() plus lane 0 (the serial lane).
     double counter_total(Id counter) const noexcept;
     double gauge_value(Id gauge) const noexcept;
-    /// Cross-lane merged estimate; `which` selects p50 (0), p95 (1), p99 (2).
-    double histogram_quantile(Id histogram, int which) const;
-    std::uint64_t histogram_count(Id histogram) const noexcept;
 
     /// Appends every metric to `row` in registration order: counters as
-    /// integral totals, gauges as values, histograms as <name>_p50/_p95/_p99
-    /// plus <name>_count. Allocation-free (key strings are pre-built).
+    /// integral totals, gauges as values. Allocation-free (the keys are the
+    /// registry-owned metric names).
     void append_to(MetricsRow& row) const;
 
 private:
@@ -136,17 +127,11 @@ private:
         std::string name;
         double value = 0.0;
     };
-    struct Hist {
-        std::string name;
-        std::string key_p50, key_p95, key_p99, key_count;
-        std::vector<P2Quantile> p50, p95, p99; ///< one estimator per lane.
-    };
 
     std::mutex register_mutex_;
     std::size_t slots_ = 1;
     std::vector<Counter> counters_;
     std::vector<Gauge> gauges_;
-    std::vector<Hist> hists_;
 };
 
 enum class SeriesFormat { Jsonl, Csv };

@@ -159,6 +159,13 @@ TEST(GoldenTrajectories, MemorySystemAllDisciplines) {
 // pins the two-stage class sampler (class draw by mass, then a uniform
 // member), uneven shards (20 queues over K = 3) and the cross-shard sojourn
 // merges.
+//
+// The `sojourn_p50/p95/p99` fields of the four event-driven goldens were
+// re-recorded when the P² estimators gave way to `LogLinearHistogram`: each
+// is now the midpoint of the histogram bucket that holds the exact
+// nearest-rank sample quantile of the episode's completed jobs (checked
+// against the sorted sojourns of these same runs). Every other field kept
+// its earlier value: the histogram draws no RNG.
 
 TEST(GoldenTrajectories, ShardedDesSystemInfiniteClientsSojourn) {
     FiniteSystemConfig config;
@@ -183,9 +190,9 @@ TEST(GoldenTrajectories, ShardedDesSystemInfiniteClientsSojourn) {
     EXPECT_EQ(stats.server_utilization, 0.81620668541722852);
     EXPECT_EQ(stats.mean_sojourn, 2.4714953981575847);
     EXPECT_EQ(stats.completed_jobs, 370u);
-    EXPECT_EQ(stats.sojourn_p50, 2.2069011404495691);
-    EXPECT_EQ(stats.sojourn_p95, 6.3674371001700552);
-    EXPECT_EQ(stats.sojourn_p99, 7.7523618758374093);
+    EXPECT_EQ(stats.sojourn_p50, 2.109375);
+    EXPECT_EQ(stats.sojourn_p95, 5.96875);
+    EXPECT_EQ(stats.sojourn_p99, 7.96875);
 }
 
 TEST(GoldenTrajectories, ShardedDesSystemJsqFourShards) {
@@ -210,9 +217,9 @@ TEST(GoldenTrajectories, ShardedDesSystemJsqFourShards) {
     EXPECT_EQ(stats.server_utilization, 0.82121935764764054);
     EXPECT_EQ(stats.mean_sojourn, 2.5498712371932548);
     EXPECT_EQ(stats.completed_jobs, 1040u);
-    EXPECT_EQ(stats.sojourn_p50, 2.1218704901352634);
-    EXPECT_EQ(stats.sojourn_p95, 6.4929983753803757);
-    EXPECT_EQ(stats.sojourn_p99, 9.9516727812447687);
+    EXPECT_EQ(stats.sojourn_p50, 2.046875);
+    EXPECT_EQ(stats.sojourn_p95, 6.65625);
+    EXPECT_EQ(stats.sojourn_p99, 9.0625);
 }
 
 // The next two were recorded with the library as it stood just before the
@@ -244,9 +251,9 @@ TEST(GoldenTrajectories, ShardedDesSystemAggregatedWideShardsSojourn) {
     EXPECT_EQ(stats.server_utilization, 0.75539830494784832);
     EXPECT_EQ(stats.mean_sojourn, 2.2731314061331327);
     EXPECT_EQ(stats.completed_jobs, 247203u);
-    EXPECT_EQ(stats.sojourn_p50, 1.843976881121868);
-    EXPECT_EQ(stats.sojourn_p95, 6.2573595075256865);
-    EXPECT_EQ(stats.sojourn_p99, 8.7847714223191851);
+    EXPECT_EQ(stats.sojourn_p50, 1.7890625);
+    EXPECT_EQ(stats.sojourn_p95, 6.09375);
+    EXPECT_EQ(stats.sojourn_p99, 8.5625);
 }
 
 TEST(GoldenTrajectories, ShardedDesSystemJsqDRouterSojourn) {
@@ -271,9 +278,9 @@ TEST(GoldenTrajectories, ShardedDesSystemJsqDRouterSojourn) {
     EXPECT_EQ(stats.server_utilization, 0.7084021701505131);
     EXPECT_EQ(stats.mean_sojourn, 1.488140694261584);
     EXPECT_EQ(stats.completed_jobs, 6451u);
-    EXPECT_EQ(stats.sojourn_p50, 1.2134813525509471);
-    EXPECT_EQ(stats.sojourn_p95, 4.5408137728723341);
-    EXPECT_EQ(stats.sojourn_p99, 6.3054719447604954);
+    EXPECT_EQ(stats.sojourn_p50, 1.1328125);
+    EXPECT_EQ(stats.sojourn_p95, 4.09375);
+    EXPECT_EQ(stats.sojourn_p99, 5.96875);
 }
 
 TEST(GoldenTrajectories, MfcEnvUniformizationArithmetic) {

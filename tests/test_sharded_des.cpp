@@ -413,7 +413,7 @@ TEST(ShardedVsFinite, PerClientModelAgrees) {
 }
 
 // ---------------------------------------------------------------------------
-// Sojourn percentiles (cross-shard P2Quantile merge)
+// Sojourn percentiles (cross-shard histogram merge)
 // ---------------------------------------------------------------------------
 
 TEST(ShardedDesSystem, SojournPercentilesAreOrderedAndPlausible) {

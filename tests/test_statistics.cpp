@@ -1,4 +1,5 @@
-// Tests for Welford accumulation, merging, and confidence intervals.
+// Tests for Welford accumulation, merging, confidence intervals, and the
+// log-linear sojourn histogram.
 #include "support/statistics.hpp"
 #include "support/rng.hpp"
 
@@ -6,7 +7,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace mflb {
@@ -102,195 +106,159 @@ TEST(StudentT, CriticalValuesDecreaseToNormal) {
     EXPECT_NEAR(student_t_975(10000), 1.959964, 1e-6);
 }
 
-TEST(P2Quantile, RejectsDegenerateTargets) {
-    EXPECT_THROW(P2Quantile(0.0), std::invalid_argument);
-    EXPECT_THROW(P2Quantile(1.0), std::invalid_argument);
-    EXPECT_THROW(P2Quantile(-0.5), std::invalid_argument);
+// --- LogLinearHistogram ------------------------------------------------------
+
+using LogHist = LogLinearHistogram;
+
+/// The exact nearest-rank p-quantile of a sorted sample: the value of
+/// 1-based rank max(1, ⌈p·n⌉), the definition `LogLinearHistogram` bins.
+double nearest_rank(const std::vector<double>& sorted, double p) {
+    const auto n = static_cast<double>(sorted.size());
+    const auto rank = std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(p * n)));
+    return sorted[rank - 1];
 }
 
-TEST(P2Quantile, ExactForFewObservations) {
-    P2Quantile median(0.5);
-    EXPECT_DOUBLE_EQ(median.value(), 0.0); // empty
-    median.add(3.0);
-    EXPECT_DOUBLE_EQ(median.value(), 3.0);
-    median.add(1.0);
-    EXPECT_DOUBLE_EQ(median.value(), 2.0); // interpolated {1, 3}
-    median.add(2.0);
-    EXPECT_DOUBLE_EQ(median.value(), 2.0); // middle of {1, 2, 3}
-    EXPECT_EQ(median.count(), 3u);
-    EXPECT_DOUBLE_EQ(median.quantile(), 0.5);
+TEST(LogLinearHistogram, LayoutIsExponentPlusTopSixMantissaBits) {
+    EXPECT_EQ(LogHist::kBuckets, 40u * 64u);
+    EXPECT_EQ(LogHist::bucket_lower(0), std::ldexp(1.0, LogHist::kMinExponent));
+    EXPECT_EQ(LogHist::bucket_lower(LogHist::kBuckets), std::ldexp(1.0, LogHist::kMaxExponent + 1));
+    // 1.0 opens the octave 20 octaves above 2^-20; 1 + 1/64 is its next bucket.
+    EXPECT_EQ(LogHist::bucket_of(1.0), 20u * 64u);
+    EXPECT_EQ(LogHist::bucket_of(1.0 + 1.0 / 64.0), 20u * 64u + 1u);
+    EXPECT_EQ(LogHist::bucket_of(std::nextafter(1.0 + 1.0 / 64.0, 0.0)), 20u * 64u);
+    EXPECT_EQ(LogHist::bucket_of(std::nextafter(2.0, 0.0)), 21u * 64u - 1u);
+    // Every in-range value lies in its bucket, and no bucket is wider than
+    // 2^-6 of its lower edge.
+    Rng rng(5);
+    for (int i = 0; i < 20000; ++i) {
+        const double x = std::exp2(rng.uniform(LogHist::kMinExponent, LogHist::kMaxExponent + 1));
+        const std::size_t b = LogHist::bucket_of(x);
+        ASSERT_LT(b, LogHist::kBuckets);
+        ASSERT_LE(LogHist::bucket_lower(b), x);
+        ASSERT_LT(x, LogHist::bucket_lower(b + 1));
+        ASSERT_LE(LogHist::bucket_lower(b + 1) - LogHist::bucket_lower(b),
+                  std::ldexp(LogHist::bucket_lower(b), -6));
+    }
 }
 
-double exact_quantile(std::vector<double> xs, double p) {
-    std::sort(xs.begin(), xs.end());
-    const double rank = p * static_cast<double>(xs.size() - 1);
-    const auto lo = static_cast<std::size_t>(rank);
-    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-    return xs[lo] + (rank - static_cast<double>(lo)) * (xs[hi] - xs[lo]);
-}
-
-TEST(P2Quantile, TracksExactQuantilesOfSkewedAndSymmetricSamples) {
+TEST(LogLinearHistogram, ExactNearestRankQuantileLiesInTheReturnedBucket) {
     Rng rng(71);
-    std::vector<double> exponential, normal;
-    P2Quantile e50(0.5), e95(0.95), e99(0.99), n50(0.5), n95(0.95);
     const int n = 50000;
+    // The short stream has n·p off the integers, so the rank must round up.
+    std::vector<std::pair<const char*, std::vector<double>>> streams = {
+        {"exponential", {}}, {"normal", {}},
+        {"constant", {}},    {"sorted", {}},
+        {"pareto", {}},      {"short", {3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.0}}};
     for (int i = 0; i < n; ++i) {
-        const double e = rng.exponential(1.0);
-        const double g = rng.normal(10.0, 2.0);
-        exponential.push_back(e);
-        normal.push_back(g);
-        e50.add(e);
-        e95.add(e);
-        e99.add(e);
-        n50.add(g);
-        n95.add(g);
+        streams[0].second.push_back(rng.exponential(1.0));
+        streams[1].second.push_back(rng.normal(10.0, 2.0));
+        streams[2].second.push_back(5.0);
+        streams[3].second.push_back(static_cast<double>(i + 1));
+        // Pareto(x_m = 1, shape 1.5): infinite variance, max ~ n^(2/3).
+        streams[4].second.push_back(std::pow(1.0 - rng.uniform(), -1.0 / 1.5));
     }
-    EXPECT_EQ(e50.count(), static_cast<std::size_t>(n));
-    // Relative tolerance vs the exact sample quantiles (P² is approximate).
-    EXPECT_NEAR(e50.value(), exact_quantile(exponential, 0.5), 0.03);
-    EXPECT_NEAR(e95.value(), exact_quantile(exponential, 0.95), 0.12);
-    EXPECT_NEAR(e99.value(), exact_quantile(exponential, 0.99), 0.25);
-    EXPECT_NEAR(n50.value(), exact_quantile(normal, 0.5), 0.1);
-    EXPECT_NEAR(n95.value(), exact_quantile(normal, 0.95), 0.2);
-    // Ordering across targets on the same stream.
-    EXPECT_LT(e50.value(), e95.value());
-    EXPECT_LT(e95.value(), e99.value());
-}
-
-TEST(P2Quantile, HandlesConstantAndSortedStreams) {
-    P2Quantile q(0.9);
-    for (int i = 0; i < 1000; ++i) {
-        q.add(5.0);
-    }
-    EXPECT_DOUBLE_EQ(q.value(), 5.0);
-    P2Quantile asc(0.5);
-    for (int i = 1; i <= 10001; ++i) {
-        asc.add(static_cast<double>(i));
-    }
-    EXPECT_NEAR(asc.value(), 5001.0, 150.0);
-}
-
-TEST(P2QuantileMerge, RejectsMismatchedTargetsAndHandlesEmpties) {
-    P2Quantile a(0.5), b(0.95);
-    EXPECT_THROW(a.merge(b), std::invalid_argument);
-
-    P2Quantile c(0.5), d(0.5);
-    c.merge(d); // both empty: no-op
-    EXPECT_EQ(c.count(), 0u);
-    d.add(7.0);
-    c.merge(d); // empty absorbs other
-    EXPECT_EQ(c.count(), 1u);
-    EXPECT_DOUBLE_EQ(c.value(), 7.0);
-    P2Quantile e(0.5);
-    c.merge(e); // merging an empty is a no-op
-    EXPECT_EQ(c.count(), 1u);
-}
-
-TEST(P2QuantileMerge, ExactWhileCombinedStreamFitsTheBuffer) {
-    // 3 + 2 observations: the merged estimator must equal one fed the
-    // concatenated stream (both are exact sorted buffers).
-    P2Quantile a(0.5), b(0.5), direct(0.5);
-    for (const double x : {1.0, 9.0, 4.0}) {
-        a.add(x);
-        direct.add(x);
-    }
-    for (const double x : {0.5, 6.0}) {
-        b.add(x);
-        direct.add(x);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), 5u);
-    EXPECT_DOUBLE_EQ(a.value(), direct.value());
-    EXPECT_DOUBLE_EQ(a.value(), 4.0); // median of {0.5, 1, 4, 6, 9}
-}
-
-TEST(P2QuantileMerge, TracksExactQuantilesOfConcatenatedStreams) {
-    // Two shards observing *different* distributions (the hard case: the
-    // merged quantile is not near either shard's own): the merged estimate
-    // must track the exact sample quantile of the concatenation.
-    Rng rng(123);
-    for (const double p : {0.5, 0.95}) {
-        SCOPED_TRACE(p);
-        P2Quantile a(p), b(p);
-        std::vector<double> all;
-        for (int i = 0; i < 4000; ++i) {
-            const double x = rng.exponential(1.0);
-            a.add(x);
-            all.push_back(x);
+    const double lowest = LogHist::bucket_lower(0);
+    for (auto& [name, xs] : streams) {
+        SCOPED_TRACE(name);
+        LogHist h;
+        for (const double x : xs) {
+            h.add(x);
         }
-        for (int i = 0; i < 2000; ++i) {
-            const double y = 5.0 + rng.normal(0.0, 0.5);
-            b.add(y);
-            all.push_back(y);
+        EXPECT_EQ(h.count(), xs.size());
+        std::sort(xs.begin(), xs.end());
+        double previous = 0.0;
+        for (const double p : {0.0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 0.999, 1.0}) {
+            SCOPED_TRACE(p);
+            const double exact = nearest_rank(xs, p);
+            const double q = h.quantile(p);
+            EXPECT_EQ(LogHist::bucket_of(q), LogHist::bucket_of(exact));
+            if (exact >= lowest) { // the 2^-7 bound holds for in-range values.
+                EXPECT_LE(std::abs(q - exact), std::ldexp(exact, -7));
+            }
+            EXPECT_GE(q, previous); // monotone in p.
+            previous = q;
         }
-        a.merge(b);
-        EXPECT_EQ(a.count(), all.size());
-        const double exact = exact_quantile(all, p);
-        EXPECT_NEAR(a.value(), exact, std::max(0.15, 0.08 * exact))
-            << "merged " << a.value() << " vs exact " << exact;
     }
 }
 
-TEST(P2QuantileMerge, MergingManyShardsOfTheSameLawMatchesTheSingleStream) {
-    // The sharded-DES reduction shape: 8 shards of the same sojourn law,
-    // merged in order, must agree with the one-stream estimate and with the
-    // exact quantile.
+TEST(LogLinearHistogram, MergeOfAnySplitInAnyOrderIsBitIdentical) {
+    // A stream with in-range values over many octaves plus out-of-range
+    // ones, dealt at random to 7 parts; merged forward, backward and as a
+    // pairwise tree, every result equals the histogram of the whole stream.
     Rng rng(77);
-    std::vector<double> all;
-    std::vector<P2Quantile> shards(8, P2Quantile(0.95));
-    P2Quantile single(0.95);
-    for (int i = 0; i < 16000; ++i) {
-        const double x = rng.exponential(0.7);
-        shards[static_cast<std::size_t>(i % 8)].add(x);
-        single.add(x);
-        all.push_back(x);
+    LogHist whole;
+    std::vector<LogHist> parts(7);
+    for (int i = 0; i < 30000; ++i) {
+        double x = rng.exponential(0.7) * std::exp2(rng.uniform(-8.0, 8.0));
+        if (i % 1000 == 0) {
+            x = i % 2000 == 0 ? 0.0 : 1e9; // both edge buckets.
+        }
+        whole.add(x);
+        parts[static_cast<std::size_t>(rng.uniform_below(parts.size()))].add(x);
     }
-    P2Quantile merged(0.95);
-    for (const P2Quantile& shard : shards) {
-        merged.merge(shard);
+    LogHist forward;
+    for (const LogHist& part : parts) {
+        forward.merge(part);
     }
-    EXPECT_EQ(merged.count(), all.size());
-    const double exact = exact_quantile(all, 0.95);
-    EXPECT_NEAR(merged.value(), exact, 0.08 * exact);
-    EXPECT_NEAR(merged.value(), single.value(), 0.1 * exact);
-    // A merged estimator keeps accepting observations.
-    for (int i = 0; i < 1000; ++i) {
-        merged.add(rng.exponential(0.7));
+    LogHist backward;
+    for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
+        backward.merge(*it);
     }
-    EXPECT_EQ(merged.count(), all.size() + 1000);
-    EXPECT_GT(merged.value(), 0.0);
+    std::vector<LogHist> level = parts;
+    while (level.size() > 1) {
+        std::vector<LogHist> next;
+        for (std::size_t i = 0; i < level.size(); i += 2) {
+            next.push_back(level[i]);
+            if (i + 1 < level.size()) {
+                next.back().merge(level[i + 1]);
+            }
+        }
+        level = std::move(next);
+    }
+    EXPECT_TRUE(forward == whole);
+    EXPECT_TRUE(backward == whole);
+    EXPECT_TRUE(level.front() == whole);
+    EXPECT_EQ(forward.count(), 30000u);
+    forward.merge(LogHist{}); // merging an empty histogram is a no-op.
+    EXPECT_TRUE(forward == whole);
+    for (const double p : {0.5, 0.95, 0.99}) {
+        EXPECT_EQ(backward.quantile(p), whole.quantile(p));
+    }
 }
 
-TEST(P2QuantileMerge, SmallBufferIntoLargeEstimator) {
-    Rng rng(9);
-    P2Quantile big(0.5), small(0.5);
-    std::vector<double> all;
-    for (int i = 0; i < 3000; ++i) {
-        const double x = rng.normal(4.0, 1.0);
-        big.add(x);
-        all.push_back(x);
-    }
-    for (const double x : {3.5, 4.5, 4.0}) {
-        small.add(x);
-        all.push_back(x);
-    }
-    big.merge(small);
-    EXPECT_EQ(big.count(), all.size());
-    EXPECT_NEAR(big.value(), exact_quantile(all, 0.5), 0.15);
-}
+TEST(LogLinearHistogram, EmptyZeroAndOutOfRangeValues) {
+    LogHist h;
+    EXPECT_EQ(h.count(), 0u);
+    EXPECT_EQ(h.quantile(0.5), 0.0); // empty reads 0.
+    EXPECT_EQ(h.quantile(1.0), 0.0);
+    EXPECT_THROW((void)h.quantile(-0.1), std::invalid_argument);
+    EXPECT_THROW((void)h.quantile(1.1), std::invalid_argument);
+    EXPECT_THROW((void)h.quantile(std::nan("")), std::invalid_argument);
 
-TEST(Histogram, BinsAndClamping) {
-    Histogram h(0.0, 10.0, 5);
-    h.add(-1.0); // clamps to first bin
-    h.add(0.5);
-    h.add(9.99);
-    h.add(42.0); // clamps to last bin
-    EXPECT_EQ(h.total(), 4u);
-    EXPECT_EQ(h.bin_count(0), 2u);
-    EXPECT_EQ(h.bin_count(4), 2u);
-    EXPECT_DOUBLE_EQ(h.bin_lower(0), 0.0);
-    EXPECT_DOUBLE_EQ(h.bin_lower(4), 8.0);
-    EXPECT_FALSE(h.ascii().empty());
+    // Below 2^kMinExponent — zero, negatives, subnormals, NaN — counts in
+    // the lowest bucket; 2^(kMaxExponent+1) and above, +inf included, in
+    // the highest.
+    for (const double x : {0.0, -0.0, -3.0, 1e-300, std::ldexp(1.0, LogHist::kMinExponent - 1),
+                           std::nan("")}) {
+        EXPECT_EQ(LogHist::bucket_of(x), 0u) << x;
+    }
+    for (const double x : {std::ldexp(1.0, LogHist::kMaxExponent + 1), 1e300,
+                           std::numeric_limits<double>::infinity()}) {
+        EXPECT_EQ(LogHist::bucket_of(x), LogHist::kBuckets - 1) << x;
+    }
+    const auto midpoint = [](std::size_t b) {
+        return 0.5 * (LogHist::bucket_lower(b) + LogHist::bucket_lower(b + 1));
+    };
+    h.add(0.0);
+    EXPECT_EQ(h.count(), 1u);
+    EXPECT_EQ(h.bucket_count(0), 1u);
+    EXPECT_EQ(h.quantile(0.5), midpoint(0)); // 2^-20·(1 + 2^-7), not 0.
+    h.add(1e12);
+    EXPECT_EQ(h.quantile(1.0), midpoint(LogHist::kBuckets - 1));
+    EXPECT_EQ(h.quantile(0.0), midpoint(0));
+    h.clear();
+    EXPECT_TRUE(h == LogHist{});
+    EXPECT_EQ(h.quantile(0.99), 0.0);
 }
 
 } // namespace
